@@ -10,7 +10,10 @@
 //! workers at caps > 1 even on small fixtures.
 //!
 //! This is an integration binary so the process-global thread cap and
-//! work threshold belong to it alone.
+//! work threshold belong to it alone; its tests take turns with them
+//! through `pool_guard`.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 use tmark_datasets::{PowerLawHinConfig, PowerLawRelationSpec};
@@ -19,6 +22,16 @@ use tmark_linalg::pool;
 /// Thread caps under test: forced-serial, the CI matrix cap, and more
 /// workers than a small plan has chunks.
 const CAPS: [usize; 3] = [1, 4, 7];
+
+/// Serializes this binary's tests: they share the process-global thread
+/// cap, work threshold and `peak_workers` gauge, so a test running beside
+/// another could see its cap changed or its gauge reset mid-measurement.
+/// A panicking test poisons the lock; the next one takes it anyway.
+static POOL_STATE: Mutex<()> = Mutex::new(());
+
+fn pool_guard() -> MutexGuard<'static, ()> {
+    POOL_STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Forces chunk synthesis through the pool regardless of plan size.
 fn force_parallel() {
@@ -53,6 +66,7 @@ fn fingerprint(cfg: &PowerLawHinConfig) -> (Vec<EntryBits>, Vec<u64>, Vec<usize>
 }
 
 fn assert_cap_invariant(cfg: &PowerLawHinConfig) {
+    let _pool = pool_guard();
     force_parallel();
     pool::set_thread_cap(Some(1));
     let reference = fingerprint(cfg);

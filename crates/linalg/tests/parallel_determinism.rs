@@ -11,10 +11,23 @@
 //! runs on these deliberately small fixtures.
 //!
 //! This is an integration binary so the process-global thread cap and
-//! work threshold belong to it alone.
+//! work threshold belong to it alone; its tests take turns with them
+//! through `pool_guard`.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use tmark_linalg::pool;
 use tmark_linalg::{DenseMatrix, SparseMatrix};
+
+/// Serializes this binary's tests: they share the process-global thread
+/// cap, work threshold and `peak_workers` gauge, so a test running beside
+/// another could see its cap changed or its gauge reset mid-measurement.
+/// A panicking test poisons the lock; the next one takes it anyway.
+static POOL_STATE: Mutex<()> = Mutex::new(());
+
+fn pool_guard() -> MutexGuard<'static, ()> {
+    POOL_STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Forces every product in this binary through the partitioned path.
 fn force_parallel() {
@@ -72,6 +85,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn dense_matvec_into_is_bitwise_identical_across_thread_caps() {
+    let _pool = pool_guard();
     force_parallel();
     let (rows, cols) = (90, 70);
     let a = big_dense(rows, cols, 3);
@@ -102,6 +116,7 @@ fn dense_matvec_into_is_bitwise_identical_across_thread_caps() {
 
 #[test]
 fn dense_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
+    let _pool = pool_guard();
     force_parallel();
     let (rows, cols, q) = (80, 64, 5);
     let a = big_dense(rows, cols, 7);
@@ -126,6 +141,7 @@ fn dense_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
 
 #[test]
 fn sparse_matvec_into_is_bitwise_identical_across_thread_caps() {
+    let _pool = pool_guard();
     force_parallel();
     let n = 240;
     let a = big_sparse(n, 4000, 13);
@@ -156,6 +172,7 @@ fn sparse_matvec_into_is_bitwise_identical_across_thread_caps() {
 
 #[test]
 fn sparse_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
+    let _pool = pool_guard();
     force_parallel();
     let (n, q) = (200, 4);
     let a = big_sparse(n, 4400, 19);

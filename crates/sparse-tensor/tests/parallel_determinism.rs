@@ -9,13 +9,26 @@
 //! the parallel path really runs at caps > 1 on these small fixtures.
 //!
 //! This is an integration binary so the process-global thread cap and
-//! work threshold belong to it alone. Even so, the assertions would hold
-//! under any concurrent cap change — that is the point of the contract.
+//! work threshold belong to it alone; its tests take turns with them
+//! through `pool_guard`. Even so, the assertions would hold under any
+//! concurrent cap change — that is the point of the contract.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 use tmark_linalg::pool;
 use tmark_linalg::vector::normalize_sum_to_one;
 use tmark_sparse_tensor::{SparseTensor3, StochasticTensors};
+
+/// Serializes this binary's tests: they share the process-global thread
+/// cap, work threshold and `peak_workers` gauge, so a test running beside
+/// another could see its cap changed or its gauge reset mid-measurement.
+/// A panicking test poisons the lock; the next one takes it anyway.
+static POOL_STATE: Mutex<()> = Mutex::new(());
+
+fn pool_guard() -> MutexGuard<'static, ()> {
+    POOL_STATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Forces every contraction in this binary through the partitioned path.
 fn force_parallel() {
@@ -68,6 +81,7 @@ fn simplex_block(len: usize, q: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn single_vector_contractions_are_bitwise_identical_across_caps() {
+    let _pool = pool_guard();
     force_parallel();
     let (n, m) = (251, 6);
     let s = StochasticTensors::from_tensor(&big_tensor(n, m, 4000, 11));
@@ -107,6 +121,7 @@ fn single_vector_contractions_are_bitwise_identical_across_caps() {
 
 #[test]
 fn batched_contractions_are_bitwise_identical_across_caps() {
+    let _pool = pool_guard();
     force_parallel();
     let (n, m, q) = (199, 5, 4);
     let s = StochasticTensors::from_tensor(&big_tensor(n, m, 4400, 17));
@@ -144,6 +159,7 @@ fn batched_contractions_are_bitwise_identical_across_caps() {
 
 #[test]
 fn dangling_fiber_corrections_survive_parallel_partitioning() {
+    let _pool = pool_guard();
     force_parallel();
     // A tensor whose mass is concentrated on few fibers: most of the
     // probability flows through the analytic dangling correction, the part
@@ -196,6 +212,7 @@ proptest! {
         m in 2usize..6,
         seed in any::<u64>(),
     ) {
+        let _pool = pool_guard();
         force_parallel();
         let s = StochasticTensors::from_tensor(&big_tensor(n, m, 3000, seed));
         prop_assert!(s.nnz() >= 2048, "generator should clear the threshold");
