@@ -1,9 +1,10 @@
-//! Batched multi-class solver vs the per-class baseline (the PR's core
-//! claim: one pass over the tensor nnz serves every class, so the batch
-//! should win whenever `q > 1` without changing a single bit of output).
+//! One lockstep `BatchSolver` pass over all classes vs one single-class
+//! pass per class (the shape the fit's panic-retry path takes). One pass
+//! over the tensor nnz serves every class, so the lockstep batch should
+//! win whenever `q > 1` without changing a single bit of output.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tmark::solver::{solve_class, FeatureWalk, SolverWorkspace};
+use tmark::solver::FeatureWalk;
 use tmark::{BatchSolver, BatchWorkspace};
 use tmark_bench::Dataset;
 use tmark_datasets::dblp::dblp_with_size;
@@ -29,16 +30,16 @@ fn bench_batch_solver(c: &mut Criterion) {
         let stoch = hin.stochastic_tensors();
         let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
 
+        let solver = BatchSolver::new(&stoch, &w, config);
         group.bench_with_input(BenchmarkId::new("per_class", n), &n, |b, _| {
-            let mut ws = SolverWorkspace::default();
+            let mut ws = BatchWorkspace::default();
             b.iter(|| {
                 for &cl in &classes {
-                    std::hint::black_box(solve_class(cl, &stoch, &w, &seeds[cl], &config, &mut ws));
+                    std::hint::black_box(solver.solve(&[cl], &seeds, &[], &mut ws));
                 }
             });
         });
         group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
-            let solver = BatchSolver::new(&stoch, &w, config);
             let mut ws = BatchWorkspace::default();
             b.iter(|| std::hint::black_box(solver.solve(&classes, &seeds, &[], &mut ws)));
         });

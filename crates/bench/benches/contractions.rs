@@ -21,10 +21,10 @@ fn bench_contractions(c: &mut Criterion) {
 
         group.throughput(Throughput::Elements(nnz as u64));
         group.bench_with_input(BenchmarkId::new("contract_o", nnz), &nnz, |b, _| {
-            b.iter(|| stoch.contract_o_into(&x, &z, &mut y).unwrap());
+            b.iter(|| stoch.contract_o_multi_into(&x, &z, &mut y, 1).unwrap());
         });
         group.bench_with_input(BenchmarkId::new("contract_r", nnz), &nnz, |b, _| {
-            b.iter(|| stoch.contract_r_into(&x, &mut zr).unwrap());
+            b.iter(|| stoch.contract_r_multi_into(&x, &mut zr, 1).unwrap());
         });
     }
     group.finish();

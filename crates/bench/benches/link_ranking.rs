@@ -1,9 +1,10 @@
 //! Ranking-table benchmarks (Tables 2, 5, 9, 10): the cost of producing
 //! the per-class link ranking from a fitted model, and of the fit+rank
-//! pipeline the tables run.
+//! pipeline the tables run, plus missing-link prediction from a fitted
+//! model.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tmark::LinkRanking;
+use tmark::{top_missing_links, LinkRanking};
 use tmark_bench::{fit_once, Dataset};
 
 fn bench_ranking_extraction(c: &mut Criterion) {
@@ -40,9 +41,20 @@ fn bench_fit_and_rank_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_link_prediction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("link_prediction");
+    group.sample_size(10);
+    let (hin, result) = fit_once(Dataset::Dblp, 0.3, 7);
+    group.bench_function("top_missing_links_k100", |b| {
+        b.iter(|| top_missing_links(&hin, &result, 0, 100));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_ranking_extraction,
-    bench_fit_and_rank_pipeline
+    bench_fit_and_rank_pipeline,
+    bench_link_prediction
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
-//! Wall-time benchmark of the batched multi-class solver against the
-//! per-class baseline, with a machine-readable JSON emitter.
+//! Wall-time benchmark of the lockstep multi-class solver against
+//! single-class solves, with a machine-readable JSON emitter.
 //!
 //! For every dataset preset this measures, at a 30% label fraction:
 //!
@@ -15,8 +15,9 @@
 //!   recovers). The dense and exact-kNN builds are verified bitwise
 //!   identical across caps and every backend's output is verified
 //!   column-stochastic — the run aborts on either violation,
-//! - `per_class_ms`: solving each class independently with
-//!   [`tmark::solver::solve_class`] (the pre-batching code path),
+//! - `per_class_ms`: solving each class independently, one
+//!   [`tmark::BatchSolver`] pass over `[c]` per class (the shape of the
+//!   fit's panic-retry path),
 //! - `batch_ms`: one lockstep [`tmark::BatchSolver`] pass over all
 //!   classes (one sweep of the tensor nnz serves every class),
 //! - `fit_ms`: the full [`tmark::TMarkModel::fit`] at the ambient thread
@@ -62,7 +63,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use tmark::solver::{solve_class, ClassStationary, SolverWorkspace};
+use tmark::solver::ClassStationary;
 use tmark::{BatchSolver, BatchWorkspace, TMarkConfig, TMarkModel, TMarkResult};
 use tmark_bench::{Dataset, DATA_SEED};
 use tmark_datasets::{PowerLawHinConfig, PowerLawRelationSpec};
@@ -351,21 +352,20 @@ fn bench_dataset(dataset: Dataset, reps: usize) -> Row {
     let w = hin.feature_walk(FeatureWalkMode::Dense, SimilarityMetric::Cosine);
     let sizes = stoch.entry_byte_sizes();
 
-    let mut ws = SolverWorkspace::default();
+    let solver = BatchSolver::new(&stoch, &w, config);
+    let mut bws = BatchWorkspace::default();
     let mut per_class_ms = f64::INFINITY;
     let mut sequential: Vec<ClassStationary> = Vec::new();
     for _ in 0..reps {
         let started = Instant::now();
         let outs: Vec<ClassStationary> = classes
             .iter()
-            .map(|&c| solve_class(c, &stoch, &w, &seeds[c], &config, &mut ws))
+            .flat_map(|&c| solver.solve(&[c], &seeds, &[], &mut bws))
             .collect();
         per_class_ms = min_ms(per_class_ms, started);
         sequential = outs;
     }
 
-    let solver = BatchSolver::new(&stoch, &w, config);
-    let mut bws = BatchWorkspace::default();
     let mut batch_ms = f64::INFINITY;
     let mut batched: Vec<ClassStationary> = Vec::new();
     for _ in 0..reps {

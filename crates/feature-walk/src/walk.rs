@@ -82,37 +82,16 @@ impl FeatureWalk {
         }
     }
 
-    /// `y = W x`, written into a caller-provided buffer (`y.len()` must be
-    /// [`FeatureWalk::len`]). This is the solver's hot-loop form: it
-    /// performs no heap allocation.
-    ///
-    /// In debug builds, when `x` lies on the probability simplex the output
-    /// is verified to stay there — the `W`-leg of Theorem 1. A
-    /// non-stochastic `W` smuggled past the constructors is caught here.
-    pub fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        match &self.repr {
-            WalkRepr::Dense(w) => w.matvec_into(x, y).expect("W shape fixed at construction"),
-            WalkRepr::Sparse(w) => w.matvec_into(x, y).expect("W shape fixed at construction"),
-        }
-        if cfg!(debug_assertions)
-            && tmark_sparse_tensor::invariants::simplex_violation(x, WALK_TOL).is_none()
-        {
-            tmark_sparse_tensor::debug_assert_simplex!(
-                &*y,
-                WALK_TOL,
-                "feature walk application W x (Eq. 9)"
-            );
-        }
-    }
-
     /// Batched `Y = W X` over column-major `n × q` blocks (`xs[c·n ..
     /// (c+1)·n]` is class `c`'s iterate), written into a caller-provided
-    /// block of the same shape. One pass over `W` serves all classes; per
-    /// column the result is bit-for-bit identical to
-    /// [`FeatureWalk::apply_into`] on that column.
+    /// block of the same shape. This is the solver's hot-loop form: one
+    /// pass over `W` serves all classes, it performs no heap allocation,
+    /// and per column the result is bit-for-bit identical to a one-column
+    /// call on that column.
     ///
-    /// In debug builds every input column on the probability simplex must
-    /// map onto the simplex, as in [`FeatureWalk::apply_into`].
+    /// In debug builds every input column on the probability simplex is
+    /// verified to map onto the simplex — the `W`-leg of Theorem 1. A
+    /// non-stochastic `W` smuggled past the constructors is caught here.
     pub fn apply_multi_into(&self, xs: &[f64], q: usize, ys: &mut [f64]) {
         match &self.repr {
             WalkRepr::Dense(w) => w
@@ -134,20 +113,20 @@ impl FeatureWalk {
                     tmark_sparse_tensor::debug_assert_simplex!(
                         &ys[c * n..(c + 1) * n],
                         WALK_TOL,
-                        "batched feature walk application W X (Eq. 9)"
+                        "feature walk application W x (Eq. 9)"
                     );
                 }
             }
         }
     }
 
-    /// `y = W x` as a freshly allocated vector. Thin wrapper over
-    /// [`FeatureWalk::apply_into`], which carries the invariant check; the
-    /// `hot-loop-alloc` lint registers `apply` as an allocating call, so
-    /// loop bodies must use the `_into` form.
+    /// `y = W x` as a freshly allocated vector:
+    /// [`FeatureWalk::apply_multi_into`] with one column, which carries the
+    /// invariant check. The `hot-loop-alloc` lint registers `apply` as an
+    /// allocating call, so loop bodies must use the `_multi_into` form.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.len()];
-        self.apply_into(x, &mut y);
+        self.apply_multi_into(x, 1, &mut y);
         y
     }
 

@@ -34,6 +34,11 @@ pub enum HinError {
         /// The offending walk-direction edge `(from, to, link_type)`.
         edge: (usize, usize, usize),
     },
+    /// A NaN or infinite edge weight was supplied.
+    NonFiniteEdgeWeight {
+        /// The offending walk-direction edge `(from, to, link_type)`.
+        edge: (usize, usize, usize),
+    },
     /// Growing the network would exceed the packed-index width of the
     /// tensor kernels (node indices are stored as `u32`).
     TooManyNodes {
@@ -68,6 +73,11 @@ impl fmt::Display for HinError {
                 "negative weight on edge ({}, {}, {}); the adjacency tensor is nonnegative",
                 edge.0, edge.1, edge.2
             ),
+            HinError::NonFiniteEdgeWeight { edge } => write!(
+                f,
+                "non-finite weight on edge ({}, {}, {}); edge weights must be finite",
+                edge.0, edge.1, edge.2
+            ),
             HinError::TooManyNodes { requested } => write!(
                 f,
                 "node count {requested} exceeds the packed-index width of the tensor kernels"
@@ -85,6 +95,18 @@ impl fmt::Display for HinError {
 }
 
 impl std::error::Error for HinError {}
+
+/// The weight contract of every edge: finite and nonnegative, as the
+/// adjacency tensor requires of its entries.
+pub(crate) fn check_edge_weight(edge: (usize, usize, usize), weight: f64) -> Result<(), HinError> {
+    if !weight.is_finite() {
+        return Err(HinError::NonFiniteEdgeWeight { edge });
+    }
+    if weight < 0.0 {
+        return Err(HinError::NegativeEdgeWeight { edge });
+    }
+    Ok(())
+}
 
 /// Incrementally assembles nodes, edges, and labels into a [`Hin`].
 ///
@@ -157,7 +179,9 @@ impl HinBuilder {
     /// their weights in the adjacency tensor).
     ///
     /// # Errors
-    /// [`HinError::UnknownNode`] / [`HinError::UnknownLinkType`] for bad ids.
+    /// [`HinError::UnknownNode`] / [`HinError::UnknownLinkType`] for bad
+    /// ids; [`HinError::NonFiniteEdgeWeight`] /
+    /// [`HinError::NegativeEdgeWeight`] for a weight outside `[0, ∞)`.
     pub fn add_weighted_directed_edge(
         &mut self,
         from: usize,
@@ -168,6 +192,7 @@ impl HinBuilder {
         self.check_node(from)?;
         self.check_node(to)?;
         self.check_link_type(link_type)?;
+        check_edge_weight((from, to, link_type), weight)?;
         self.edges.push((from, to, link_type, weight));
         Ok(self)
     }
@@ -232,7 +257,9 @@ impl HinBuilder {
             // Walker moves from `from` to `to`: tensor entry a_{to, from, k}.
             tb.add(to, from, k, weight);
         }
-        let tensor = tb.build().expect("builder ids validated on insertion");
+        let tensor = tb
+            .build()
+            .expect("builder ids and weights validated on insertion");
         let features =
             DenseMatrix::from_rows(&self.features).expect("feature rows validated on insertion");
         let mut labels = LabelStore::new(n, self.class_names);
@@ -285,6 +312,25 @@ mod tests {
         assert_eq!(b.set_label(v, 5).unwrap_err(), HinError::UnknownClass(5));
         assert_eq!(b.set_label(3, 0).unwrap_err(), HinError::UnknownNode(3));
         assert!(b.set_label(v, 1).is_ok());
+    }
+
+    #[test]
+    fn edge_weights_must_be_finite_and_nonnegative() {
+        let mut b = builder();
+        let u = b.add_node(vec![0.0]);
+        let v = b.add_node(vec![1.0]);
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                b.add_weighted_directed_edge(u, v, 0, bad).unwrap_err(),
+                HinError::NonFiniteEdgeWeight { edge: (u, v, 0) }
+            );
+        }
+        assert_eq!(
+            b.add_weighted_directed_edge(u, v, 0, -1.0).unwrap_err(),
+            HinError::NegativeEdgeWeight { edge: (u, v, 0) }
+        );
+        // Rejected edges are not recorded, so the build succeeds.
+        assert_eq!(b.build().unwrap().tensor().nnz(), 0);
     }
 
     #[test]

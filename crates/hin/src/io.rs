@@ -137,6 +137,15 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
         ),
         _ => return Err(parse_err(ln, "expected 'nodes <n> features <d>'")),
     };
+    // Nothing below is sized from a header count — node, name and record
+    // buffers grow with the lines actually read — but the node count must
+    // still fit the tensor kernels' u32 indices.
+    if n.saturating_sub(1) > u32::MAX as usize {
+        return Err(parse_err(
+            ln,
+            format!("node count {n} exceeds the packed-index limit: node ids must fit in u32"),
+        ));
+    }
     let (ln, lt_header) = next_line()?;
     let m: usize = lt_header
         .strip_prefix("link-types ")
@@ -144,7 +153,7 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
         .trim()
         .parse()
         .map_err(|e| parse_err(ln, format!("bad link-type count: {e}")))?;
-    let mut link_names = Vec::with_capacity(m);
+    let mut link_names = Vec::new();
     for _ in 0..m {
         let (_, name) = next_line()?;
         link_names.push(name);
@@ -156,14 +165,14 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
         .trim()
         .parse()
         .map_err(|e| parse_err(ln, format!("bad class count: {e}")))?;
-    let mut class_names = Vec::with_capacity(q);
+    let mut class_names = Vec::new();
     for _ in 0..q {
         let (_, name) = next_line()?;
         class_names.push(name);
     }
 
     let mut builder = HinBuilder::new(d, link_names, class_names);
-    let mut features: Vec<Option<Vec<f64>>> = vec![None; n];
+    let mut nodes: Vec<(usize, Vec<f64>)> = Vec::new();
     let mut labels: Vec<(usize, usize)> = Vec::new();
     let mut edges: Vec<(usize, usize, usize, f64)> = Vec::new();
 
@@ -193,7 +202,13 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
                         format!("node {id} has {} features, expected {d}", f.len()),
                     ));
                 }
-                features[id] = Some(f);
+                if let Some(bad) = f.iter().find(|v| !v.is_finite()) {
+                    return Err(parse_err(
+                        ln,
+                        format!("node {id} has non-finite feature value {bad}"),
+                    ));
+                }
+                nodes.push((id, f));
             }
             Some("label") => {
                 let v: usize = tok
@@ -229,6 +244,12 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
                 if tok.next().is_some() {
                     return Err(parse_err(ln, "edge line needs '<i> <j> <k> <weight>'"));
                 }
+                if !(weight.is_finite() && weight >= 0.0) {
+                    return Err(parse_err(
+                        ln,
+                        format!("edge weight {weight} must be finite and nonnegative"),
+                    ));
+                }
                 edges.push((i, j, k, weight));
             }
             Some(other) => {
@@ -238,7 +259,15 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
         }
     }
 
-    for (id, f) in features.into_iter().enumerate() {
+    // Node records in id order; a repeated id keeps its last record (the
+    // sort is stable).
+    nodes.sort_by_key(|&(id, _)| id);
+    let mut records = nodes.into_iter().peekable();
+    for id in 0..n {
+        let mut f = None;
+        while let Some((_, g)) = records.next_if(|&(rid, _)| rid == id) {
+            f = Some(g);
+        }
         let f = f.ok_or_else(|| parse_err(0, format!("node {id} missing from input")))?;
         builder.add_node(f);
     }
@@ -340,6 +369,76 @@ mod tests {
         let text = "hin v1\nnodes 2 features 1\nlink-types 1\nr\nclasses 1\nc\nnode 0 1.0\n";
         let err = read_hin(Cursor::new(text)).unwrap_err();
         assert!(err.to_string().contains("missing"), "{err}");
+    }
+
+    /// A one-relation, one-class header followed by `body`.
+    fn with_header(nodes: usize, body: &str) -> String {
+        format!("hin v1\nnodes {nodes} features 1\nlink-types 1\nr\nclasses 1\nc\n{body}")
+    }
+
+    #[test]
+    fn rejects_non_finite_values_with_line_numbers() {
+        for (body, line, what) in [
+            ("node 0 1.0\nnode 1 NaN\n", 8, "non-finite feature"),
+            ("node 0 1.0\nnode 1 inf\n", 8, "non-finite feature"),
+            (
+                "node 0 1.0\nnode 1 1.0\nedge 0 1 0 NaN\n",
+                9,
+                "edge weight NaN",
+            ),
+            (
+                "node 0 1.0\nnode 1 1.0\nedge 1 0 0 inf\n",
+                9,
+                "edge weight inf",
+            ),
+            (
+                "node 0 1.0\nnode 1 1.0\nedge 1 0 0 -1\n",
+                9,
+                "edge weight -1",
+            ),
+        ] {
+            let err = read_hin(Cursor::new(with_header(2, body))).unwrap_err();
+            assert!(
+                matches!(err, IoError::Parse { line: l, .. } if l == line),
+                "{body:?}: {err}"
+            );
+            assert!(err.to_string().contains(what), "{body:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn header_counts_reserve_nothing() {
+        // Link-type and class counts at usize::MAX read names until the
+        // input ends instead of reserving capacity up front.
+        let text = format!("hin v1\nnodes 1 features 1\nlink-types {}\nr\n", usize::MAX);
+        let err = read_hin(Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("unexpected end"), "{err}");
+        let text = format!(
+            "hin v1\nnodes 1 features 1\nlink-types 1\nr\nclasses {}\nc\n",
+            usize::MAX
+        );
+        let err = read_hin(Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("unexpected end"), "{err}");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_counts_are_checked_against_the_index_limit() {
+        // A node count at the u32 index limit is accepted by the header
+        // check and allocates nothing: the input simply lacks node 1.
+        let err = read_hin(Cursor::new(with_header(1 << 32, "node 0 1.0\n"))).unwrap_err();
+        assert!(err.to_string().contains("node 1 missing"), "{err}");
+        // One past the limit is refused at the header line.
+        let err = read_hin(Cursor::new(with_header((1 << 32) + 1, ""))).unwrap_err();
+        assert!(matches!(err, IoError::Parse { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains("packed-index limit"), "{err}");
+    }
+
+    #[test]
+    fn repeated_node_records_keep_the_last() {
+        let body = "node 1 3.0\nnode 0 1.0\nnode 1 2.0\n";
+        let hin = read_hin(Cursor::new(with_header(2, body))).unwrap();
+        assert_eq!(hin.features().as_slice(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! nodes are revealed to an algorithm is decided separately by the
 //! train/test split, so the store itself always holds ground truth.
 
-use serde::{Deserialize, Serialize};
-
 /// Ground-truth class assignments for every node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelStore {
     class_names: Vec<String>,
     /// Sorted, deduplicated class ids per node.

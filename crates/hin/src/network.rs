@@ -8,7 +8,7 @@ use tmark_linalg::similarity::SimilarityMetric;
 use tmark_linalg::{DenseMatrix, SparseMatrix};
 use tmark_sparse_tensor::{SparseTensor3, StochasticTensors};
 
-use crate::builder::HinError;
+use crate::builder::{check_edge_weight, HinError};
 use crate::labels::LabelStore;
 
 /// Cache key for a materialized feature walk: the *resolved* mode (so
@@ -204,7 +204,8 @@ impl Hin {
     ///
     /// # Errors
     /// [`HinError::UnknownNode`] / [`HinError::UnknownLinkType`] /
-    /// [`HinError::NegativeEdgeWeight`] per offending edge.
+    /// [`HinError::NonFiniteEdgeWeight`] / [`HinError::NegativeEdgeWeight`]
+    /// per offending edge.
     pub fn add_edges(&mut self, edges: &[(usize, usize, usize, f64)]) -> Result<(), HinError> {
         let n = self.num_nodes();
         let m = self.num_link_types();
@@ -218,11 +219,7 @@ impl Hin {
             if k >= m {
                 return Err(HinError::UnknownLinkType(k));
             }
-            if weight < 0.0 {
-                return Err(HinError::NegativeEdgeWeight {
-                    edge: (from, to, k),
-                });
-            }
+            check_edge_weight((from, to, k), weight)?;
         }
         // Walk direction from → to is tensor coordinate (i=to, j=from, k).
         let updates: Vec<(usize, usize, usize, f64)> = edges
@@ -639,6 +636,12 @@ mod tests {
             h.add_edges(&[(0, 1, 0, -2.0)]).unwrap_err(),
             HinError::NegativeEdgeWeight { edge: (0, 1, 0) }
         );
+        assert_eq!(
+            h.add_edges(&[(0, 1, 0, 1.0), (1, 0, 0, f64::NAN)])
+                .unwrap_err(),
+            HinError::NonFiniteEdgeWeight { edge: (1, 0, 0) }
+        );
+        assert_eq!(h.tensor().get(1, 0, 0), 3.0);
         assert_eq!(h.cache_epoch(), 2);
     }
 

@@ -164,38 +164,15 @@ impl DenseMatrix {
             .collect()
     }
 
-    /// Matrix–vector product `y = A x`.
+    /// Matrix–vector product `y = A x`: [`DenseMatrix::matvec_multi_into`]
+    /// with one column.
     ///
     /// # Errors
     /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
+        self.matvec_multi_into(x, 1, &mut y)?;
         Ok(y)
-    }
-
-    /// Matrix–vector product into a caller-provided buffer (hot path of the
-    /// T-Mark iteration; avoids a per-iteration allocation). Large products
-    /// partition the output rows over free pool workers; each `y_r` is the
-    /// same Kahan-compensated [`vector::dot`] either way, so the result is
-    /// bitwise equal to the serial loop at any thread count.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "matvec",
-                expected: (self.rows, self.cols),
-                found: (y.len(), x.len()),
-            });
-        }
-        if self.use_parallel(1) {
-            let bounds = partition::uniform_bounds(self.rows);
-            partition::run_chunks(bounds.as_slice(), y, |start, chunk| {
-                self.row_dots(x, start, chunk);
-            });
-        } else {
-            self.row_dots(x, 0, y);
-        }
-        Ok(())
     }
 
     /// Whether a product over `columns` operand columns should partition
@@ -224,13 +201,15 @@ impl DenseMatrix {
     /// `xs` holds `q` input columns of length `cols` (`xs[c·cols ..
     /// (c+1)·cols]`), `ys` receives `q` output columns of length `rows`.
     ///
-    /// Serially, one pass over the rows of `A` serves all `q` columns (each
-    /// row stays cache-resident across the inner class loop); with free
-    /// pool workers the output block is partitioned into
-    /// `(class, row-range)` chunks computed concurrently. Every output cell
-    /// is the same Kahan-compensated [`vector::dot`] that
-    /// [`DenseMatrix::matvec_into`] computes, so each column is bit-for-bit
-    /// identical to the single-vector product at any thread count.
+    /// This is the hot path of the T-Mark iteration: it writes into a
+    /// caller-provided block and performs no allocation. Serially, one pass
+    /// over the rows of `A` serves all `q` columns (each row stays
+    /// cache-resident across the inner class loop); with free pool workers
+    /// the output block is partitioned into `(class, row-range)` chunks
+    /// computed concurrently. Every output cell is the same
+    /// Kahan-compensated [`vector::dot`] of a row with a column, so each
+    /// column is bit-for-bit identical to a one-column product, at any
+    /// thread count.
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] on wrong block lengths.
@@ -546,8 +525,8 @@ mod tests {
         let mut ys = vec![f64::NAN; 3 * q];
         m.matvec_multi_into(&xs, q, &mut ys).unwrap();
         for c in 0..q {
-            let mut single = vec![0.0; 3];
-            m.matvec_into(&xs[c * 2..(c + 1) * 2], &mut single).unwrap();
+            let x = &xs[c * 2..(c + 1) * 2];
+            let single: Vec<f64> = (0..3).map(|r| vector::dot(m.row(r), x)).collect();
             assert_eq!(&ys[c * 3..(c + 1) * 3], single.as_slice(), "column {c}");
         }
         assert!(m.matvec_multi_into(&xs, q, &mut [0.0; 4]).is_err());

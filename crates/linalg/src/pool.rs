@@ -199,10 +199,10 @@ where
     }
     let mut results: Vec<Option<std::thread::Result<T>>> = (0..total).map(|_| None).collect();
     let own_bucket = buckets.swap_remove(0);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(buckets.len());
         for bucket in buckets {
-            handles.push(scope.spawn(move |_| run_bucket(bucket)));
+            handles.push(scope.spawn(move || run_bucket(bucket)));
         }
         for (i, outcome) in run_bucket(own_bucket) {
             results[i] = Some(outcome);
@@ -214,8 +214,7 @@ where
                 }
             }
         }
-    })
-    .ok();
+    });
     release_extra(granted);
     results
         .into_iter()

@@ -175,38 +175,15 @@ impl SparseMatrix {
     }
 
     /// Matrix–vector product `y = A x`, accounting for uniform dangling
-    /// columns when the matrix has been stochastically normalized.
+    /// columns when the matrix has been stochastically normalized:
+    /// [`SparseMatrix::matvec_multi_into`] with one column.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::DimensionMismatch`] if `x.len() != cols`.
     pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y)?;
+        self.matvec_multi_into(x, 1, &mut y)?;
         Ok(y)
-    }
-
-    /// Matrix–vector product into a caller-provided buffer (hot path of the
-    /// T-Mark iteration; avoids a per-iteration allocation). Rows accumulate
-    /// through compensated summation, so the sparse product is bit-identical
-    /// to the dense one on the same operator. Large products partition the
-    /// output rows over free pool workers (nnz-balanced via the row
-    /// pointers); each output element keeps its serial summation order, so
-    /// the result is bitwise equal at any thread count.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != self.cols || y.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "sparse matvec",
-                expected: (self.rows, self.cols),
-                found: (y.len(), x.len()),
-            });
-        }
-        let (share, correct) = self.dangling_share(x);
-        if self.use_parallel(1) {
-            let bounds = partition::balanced_bounds(&self.indptr);
-            partition::run_chunks(bounds.as_slice(), y, |start, chunk| {
-                self.row_gather(x, share, correct, start, chunk);
-            });
-        } else {
-            self.row_gather(x, share, correct, 0, y);
-        }
-        Ok(())
     }
 
     /// Whether a product over `columns` operand columns should partition
@@ -257,15 +234,19 @@ impl SparseMatrix {
 
     /// Block matrix–vector product `Y = A X` over column-major blocks
     /// (`q` input columns of length `cols` in `xs`, `q` output columns of
-    /// length `rows` in `ys`), accounting for uniform dangling columns
-    /// exactly as [`SparseMatrix::matvec_into`] does.
+    /// length `rows` in `ys`), accounting for uniform dangling columns when
+    /// the matrix has been stochastically normalized.
     ///
-    /// Serially, one pass over the row structure serves all `q` columns;
-    /// with free pool workers the output block is partitioned into
-    /// `(class, row-range)` chunks computed concurrently. Per column the
-    /// accumulation order (row entries in CSR order, then the
-    /// Kahan-compensated dangling mass) matches the single-vector product,
-    /// so each output column is bit-for-bit identical to it at any thread
+    /// This is the hot path of the T-Mark iteration: it writes into a
+    /// caller-provided block and performs no allocation. Rows accumulate
+    /// through compensated summation, so the sparse product is
+    /// bit-identical to the dense one on the same operator. Serially, one
+    /// pass over the row structure serves all `q` columns; with free pool
+    /// workers the output block is partitioned into `(class, row-range)`
+    /// chunks (nnz-balanced via the row pointers) computed concurrently.
+    /// Per column the accumulation order (row entries in CSR order, then
+    /// the Kahan-compensated dangling mass) is fixed, so each output column
+    /// is bit-for-bit identical to a one-column product at any thread
     /// count.
     ///
     /// # Errors
@@ -511,24 +492,13 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_matches_allocating_variant() {
-        let m = sample();
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![f64::NAN; 2];
-        m.matvec_into(&x, &mut y).unwrap();
-        assert_eq!(y, m.matvec(&x).unwrap());
-        // Wrong output length is a dimension error, not a panic.
-        assert!(m.matvec_into(&x, &mut [0.0]).is_err());
-    }
-
-    #[test]
-    fn matvec_into_applies_dangling_mass() {
+    fn matvec_applies_dangling_mass() {
         let mut m = SparseMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 0, 2.0)]).unwrap();
         m.normalize_columns_stochastic();
-        let mut y = vec![0.0; 2];
-        m.matvec_into(&[0.5, 0.5], &mut y).unwrap();
-        assert_eq!(y, m.matvec(&[0.5, 0.5]).unwrap());
+        // Column 1 dangles: its 0.5 of mass spreads uniformly over rows.
+        let y = m.matvec(&[0.5, 0.5]).unwrap();
         assert!((y[0] - 0.5).abs() < 1e-12);
+        assert!((y[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -614,8 +584,7 @@ mod tests {
         let mut ys = vec![f64::NAN; 3 * q];
         m.matvec_multi_into(&xs, q, &mut ys).unwrap();
         for c in 0..q {
-            let mut single = vec![0.0; 3];
-            m.matvec_into(&xs[c * 3..(c + 1) * 3], &mut single).unwrap();
+            let single = m.matvec(&xs[c * 3..(c + 1) * 3]).unwrap();
             assert_eq!(&ys[c * 3..(c + 1) * 3], single.as_slice(), "column {c}");
         }
         assert!(m.matvec_multi_into(&xs, q, &mut [0.0; 4]).is_err());

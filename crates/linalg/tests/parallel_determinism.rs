@@ -1,7 +1,7 @@
 //! Serial-vs-parallel bitwise determinism of the matvec kernels.
 //!
-//! `DenseMatrix::matvec_into` / `matvec_multi_into` and their
-//! `SparseMatrix` siblings partition output rows over pool workers when
+//! `DenseMatrix::matvec_multi_into` and its `SparseMatrix` sibling
+//! partition output rows over pool workers when
 //! the operand crosses the internal work threshold. The contract is
 //! *exact*: every output element is owned by one chunk and summed in a
 //! fixed order, so the parallel result must be bit-for-bit `==` the
@@ -84,37 +84,6 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 #[test]
-fn dense_matvec_into_is_bitwise_identical_across_thread_caps() {
-    let _pool = pool_guard();
-    force_parallel();
-    let (rows, cols) = (90, 70);
-    let a = big_dense(rows, cols, 3);
-    assert!(rows * cols >= 4096, "operand too small to parallelize");
-    let x = dense_vec(cols, 5);
-
-    pool::set_thread_cap(Some(1));
-    let mut y_serial = vec![0.0; rows];
-    a.matvec_into(&x, &mut y_serial).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        pool::reset_peak_workers();
-        let mut y = vec![f64::NAN; rows];
-        a.matvec_into(&x, &mut y).unwrap();
-        assert!(
-            pool::peak_workers() >= 1,
-            "expected pool workers at cap {cap}"
-        );
-        assert_eq!(
-            bits(&y),
-            bits(&y_serial),
-            "matvec_into diverged at cap {cap}"
-        );
-    }
-    pool::set_thread_cap(None);
-}
-
-#[test]
 fn dense_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
     let _pool = pool_guard();
     force_parallel();
@@ -134,37 +103,6 @@ fn dense_matvec_multi_into_is_bitwise_identical_across_thread_caps() {
             bits(&ys),
             bits(&ys_serial),
             "matvec_multi_into diverged at cap {cap}"
-        );
-    }
-    pool::set_thread_cap(None);
-}
-
-#[test]
-fn sparse_matvec_into_is_bitwise_identical_across_thread_caps() {
-    let _pool = pool_guard();
-    force_parallel();
-    let n = 240;
-    let a = big_sparse(n, 4000, 13);
-    assert!(a.nnz() >= 2048, "matrix too small to parallelize");
-    let x = dense_vec(n, 17);
-
-    pool::set_thread_cap(Some(1));
-    let mut y_serial = vec![0.0; n];
-    a.matvec_into(&x, &mut y_serial).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        pool::reset_peak_workers();
-        let mut y = vec![f64::NAN; n];
-        a.matvec_into(&x, &mut y).unwrap();
-        assert!(
-            pool::peak_workers() >= 1,
-            "expected pool workers at cap {cap}"
-        );
-        assert_eq!(
-            bits(&y),
-            bits(&y_serial),
-            "sparse matvec_into diverged at cap {cap}"
         );
     }
     pool::set_thread_cap(None);

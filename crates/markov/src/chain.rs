@@ -70,7 +70,7 @@ pub fn power_iteration(
     let mut residual = f64::INFINITY;
     let mut iterations = 0;
     for _ in 0..config.max_iterations {
-        p.matvec_into(&x, &mut next)?;
+        p.matvec_multi_into(&x, 1, &mut next)?;
         // Guard against drift off the simplex.
         vector::normalize_sum_to_one(&mut next);
         residual = vector::l1_distance(&next, &x);

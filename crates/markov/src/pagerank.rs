@@ -69,7 +69,7 @@ pub fn random_walk_with_restart(
     let mut residual = f64::INFINITY;
     let mut iterations = 0;
     for _ in 0..config.max_iterations {
-        p.matvec_into(&x, &mut next)?;
+        p.matvec_multi_into(&x, 1, &mut next)?;
         for (n, &vi) in next.iter_mut().zip(&v) {
             *n = (1.0 - config.alpha) * *n + config.alpha * vi;
         }

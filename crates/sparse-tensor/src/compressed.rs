@@ -15,9 +15,8 @@
 //!   storage `(k, j)` order): `o_row_ptr[i]` row offsets, `u32`
 //!   column/relation indices, and the `o` values — 16 bytes per entry.
 //!   `y_i` is a gather over its row.
-//! - Cold arrays (raw values for derived operators, the `(i, j)` pair
-//!   index for point lookups) live separately and are never touched by
-//!   the hot kernels.
+//! - Cold arrays (the `(i, j)` pair index for point lookups) live
+//!   separately and are never touched by the hot kernels.
 //!
 //! Because every output element is produced by exactly one gather that
 //! adds its terms in the same order the old scatter kernels did, the
@@ -42,9 +41,6 @@ pub(crate) struct CompressedSlices {
     pub(crate) col_idx: Vec<u32>,
     /// `r_{i,j,k}` per entry, storage order.
     pub(crate) r_vals: Vec<f64>,
-    /// Raw `a_{i,j,k}` per entry, storage order (cold: only derived
-    /// operators such as the HAR transpose read it).
-    pub(crate) raw_vals: Vec<f64>,
     /// Row offsets of the O-path arrays: output row `i` is
     /// `o_row_ptr[i] .. o_row_ptr[i + 1]`. Length `n + 1`.
     pub(crate) o_row_ptr: Vec<usize>,
@@ -84,12 +80,10 @@ impl CompressedSlices {
         let mut row_idx = Vec::with_capacity(nnz);
         let mut col_idx = Vec::with_capacity(nnz);
         let mut r_vals = Vec::with_capacity(nnz);
-        let mut raw_vals = Vec::with_capacity(nnz);
-        for &(i, j, _, r, raw) in entries {
+        for &(i, j, _, r, _) in entries {
             row_idx.push(i);
             col_idx.push(j);
             r_vals.push(r);
-            raw_vals.push(raw);
         }
 
         // Group the O path by output row with a stable counting sort, so
@@ -130,7 +124,6 @@ impl CompressedSlices {
             row_idx,
             col_idx,
             r_vals,
-            raw_vals,
             o_row_ptr,
             o_col,
             o_rel,

@@ -25,6 +25,14 @@ pub enum TensorError {
         /// The value supplied.
         value: f64,
     },
+    /// A NaN or infinite value was supplied; one such entry would poison
+    /// every fiber sum it enters and, through them, every iterate.
+    NonFiniteValue {
+        /// The coordinate carrying the non-finite value.
+        index: (usize, usize, usize),
+        /// The value supplied.
+        value: f64,
+    },
     /// A vector operand had the wrong length for a contraction.
     VectorLengthMismatch {
         /// Description of the operand.
@@ -73,6 +81,11 @@ impl fmt::Display for TensorError {
                 "negative value {value} at ({}, {}, {}); the adjacency tensor is nonnegative",
                 index.0, index.1, index.2
             ),
+            TensorError::NonFiniteValue { index, value } => write!(
+                f,
+                "non-finite value {value} at ({}, {}, {}); tensor entries must be finite",
+                index.0, index.1, index.2
+            ),
             TensorError::VectorLengthMismatch {
                 operand,
                 expected,
@@ -100,6 +113,19 @@ impl fmt::Display for TensorError {
 }
 
 impl std::error::Error for TensorError {}
+
+/// The value contract of every entry and update: finite (a NaN fails
+/// `value < 0.0` and would slip through a sign check alone) and
+/// nonnegative.
+fn check_value(index: (usize, usize, usize), value: f64) -> Result<(), TensorError> {
+    if !value.is_finite() {
+        return Err(TensorError::NonFiniteValue { index, value });
+    }
+    if value < 0.0 {
+        return Err(TensorError::NegativeValue { index, value });
+    }
+    Ok(())
+}
 
 /// One stored entry of the tensor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,8 +178,8 @@ impl SparseTensor3 {
     /// [`TensorError::EmptyShape`] if `n == 0 || m == 0`;
     /// [`TensorError::IndexOverflow`] if `n` or `m` exceeds what the
     /// packed `u32` kernel indices can represent;
-    /// [`TensorError::IndexOutOfBounds`] / [`TensorError::NegativeValue`]
-    /// per offending entry.
+    /// [`TensorError::IndexOutOfBounds`] / [`TensorError::NonFiniteValue`]
+    /// / [`TensorError::NegativeValue`] per offending entry.
     pub fn from_entries(
         n: usize,
         m: usize,
@@ -238,12 +264,7 @@ impl SparseTensor3 {
                     shape: (n, n, m),
                 });
             }
-            if value < 0.0 {
-                return Err(TensorError::NegativeValue {
-                    index: (i, j, k),
-                    value,
-                });
-            }
+            check_value((i, j, k), value)?;
             if value != 0.0 {
                 entries.push(Entry { i, j, k, value });
             }
@@ -397,7 +418,7 @@ impl SparseTensor3 {
     /// Direct contraction `(A ×̄₁ x ×̄₃ z)_i = Σ_{j,k} a_{i,j,k} x_j z_k` on
     /// the *raw* tensor (no normalization, no dangling handling). The
     /// stochastic version used by Algorithm 1 lives in
-    /// [`crate::stochastic::StochasticTensors::contract_o_into`].
+    /// [`crate::stochastic::StochasticTensors::contract_o`].
     pub fn contract_mode1_mode3(&self, x: &[f64], z: &[f64]) -> Result<Vec<f64>, TensorError> {
         if x.len() != self.n {
             return Err(TensorError::VectorLengthMismatch {
@@ -452,8 +473,8 @@ impl SparseTensor3 {
     /// Validation is all-or-nothing: on error the tensor is unchanged.
     ///
     /// # Errors
-    /// [`TensorError::IndexOutOfBounds`] / [`TensorError::NegativeValue`]
-    /// per offending update.
+    /// [`TensorError::IndexOutOfBounds`] / [`TensorError::NonFiniteValue`]
+    /// / [`TensorError::NegativeValue`] per offending update.
     pub fn patch_entries(
         &mut self,
         updates: &[(usize, usize, usize, f64)],
@@ -465,12 +486,7 @@ impl SparseTensor3 {
                     shape: (self.n, self.n, self.m),
                 });
             }
-            if value < 0.0 {
-                return Err(TensorError::NegativeValue {
-                    index: (i, j, k),
-                    value,
-                });
-            }
+            check_value((i, j, k), value)?;
         }
         let mut summary = PatchSummary::default();
         for &(i, j, k, value) in updates {
@@ -712,6 +728,37 @@ mod tests {
             SparseTensor3::from_entries(2, 2, vec![(0, 0, 0, -1.0)]),
             Err(TensorError::NegativeValue { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_by_every_constructor() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                SparseTensor3::from_entries(2, 1, vec![(0, 1, 0, 1.0), (1, 0, 0, value)]),
+                Err(TensorError::NonFiniteValue {
+                    index: (1, 0, 0),
+                    ..
+                })
+            ));
+            assert!(matches!(
+                SparseTensor3::from_entry_chunks(
+                    2,
+                    1,
+                    vec![vec![(0, 1, 0, 1.0)], vec![(1, 0, 0, value)]],
+                ),
+                Err(TensorError::NonFiniteValue {
+                    index: (1, 0, 0),
+                    ..
+                })
+            ));
+            let mut t = SparseTensor3::from_entries(2, 1, vec![(0, 1, 0, 1.0)]).unwrap();
+            let before = t.clone();
+            assert!(matches!(
+                t.patch_entries(&[(0, 1, 0, value)]),
+                Err(TensorError::NonFiniteValue { .. })
+            ));
+            assert_eq!(t, before, "a rejected patch leaves the tensor unchanged");
+        }
     }
 
     #[test]

@@ -56,19 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn pair_contraction_preserves_simplex_with_dangling_fibers(
-        (t, x, _) in dangling_tensor_and_vectors()
-    ) {
-        // The HAR co-ranking generalization R ×̄₁ u ×̄₂ v with distinct
-        // simplex operands must preserve the simplex too.
-        let s = StochasticTensors::from_tensor(&t);
-        let mut v: Vec<f64> = x.iter().rev().copied().collect();
-        normalize_sum_to_one(&mut v);
-        let z = s.contract_r_pair(&x, &v).expect("lengths match");
-        prop_assert!(simplex_violation(&z, SIMPLEX_TOL).is_none(), "z = {z:?}");
-    }
-
-    #[test]
     fn dangling_node_mass_spreads_uniformly(
         (t, mut x, z) in dangling_tensor_and_vectors()
     ) {

@@ -80,46 +80,6 @@ fn simplex_block(len: usize, q: usize, seed: u64) -> Vec<f64> {
 }
 
 #[test]
-fn single_vector_contractions_are_bitwise_identical_across_caps() {
-    let _pool = pool_guard();
-    force_parallel();
-    let (n, m) = (251, 6);
-    let s = StochasticTensors::from_tensor(&big_tensor(n, m, 4000, 11));
-    assert!(s.nnz() >= 2048, "tensor too small to exercise parallelism");
-    let x = simplex(n, 21);
-    let z = simplex(m, 22);
-    let u = simplex(n, 23);
-
-    pool::set_thread_cap(Some(1));
-    let mut y_serial = vec![0.0; n];
-    s.contract_o_into(&x, &z, &mut y_serial).unwrap();
-    let mut z_serial = vec![0.0; m];
-    s.contract_r_into(&x, &mut z_serial).unwrap();
-    let pair_serial = s.contract_r_pair(&u, &x).unwrap();
-
-    for cap in CAPS {
-        pool::set_thread_cap(Some(cap));
-        pool::reset_peak_workers();
-        let mut y = vec![f64::NAN; n];
-        s.contract_o_into(&x, &z, &mut y).unwrap();
-        if cap > 1 {
-            // Prove the parallel path ran rather than silently gating off.
-            assert!(
-                pool::peak_workers() >= 1,
-                "expected pool workers at cap {cap}"
-            );
-        }
-        assert_eq!(y, y_serial, "contract_o_into diverged at cap {cap}");
-        let mut zc = vec![f64::NAN; m];
-        s.contract_r_into(&x, &mut zc).unwrap();
-        assert_eq!(zc, z_serial, "contract_r_into diverged at cap {cap}");
-        let pair = s.contract_r_pair(&u, &x).unwrap();
-        assert_eq!(pair, pair_serial, "contract_r_pair diverged at cap {cap}");
-    }
-    pool::set_thread_cap(None);
-}
-
-#[test]
 fn batched_contractions_are_bitwise_identical_across_caps() {
     let _pool = pool_guard();
     force_parallel();

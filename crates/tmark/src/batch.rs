@@ -1,7 +1,9 @@
 //! Lockstep multi-class solver: Algorithm 1 over an `n × q` iterate block.
 //!
-//! [`BatchSolver`] runs the coupled fixed-point iteration for many classes
-//! at once. Each iteration makes *one* pass over the stored tensor entries
+//! [`BatchSolver`] is the one implementation of the coupled fixed-point
+//! iteration. It runs any set of classes at once — the fit passes all `q`,
+//! the fit's panic-retry path one at a time. Each iteration makes *one*
+//! pass over the stored tensor entries
 //! ([`StochasticTensors::contract_o_multi_into`] /
 //! [`StochasticTensors::contract_r_multi_into`]) and one pass over the
 //! feature walk ([`FeatureWalk::apply_multi_into`]) that serve every class,
@@ -9,15 +11,15 @@
 //! `O(qTD)` cost model leaves on the table when the classes run on separate
 //! threads.
 //!
-//! Bit-exactness contract: for every class the per-iteration summation
-//! order is exactly that of [`solve_class_from`] (entries in storage order,
-//! Kahan-compensated reductions front to back), so the batched solver
-//! reproduces the sequential per-class results **bit for bit** — the
-//! property-based tests assert exact `==`, not a tolerance. Classes whose
-//! residual crosses `epsilon` retire early: their column is swapped to the
-//! back of the active block (column-major storage makes this two slice
-//! swaps) and later iterations no longer touch it, again matching the
-//! per-class solver's early exit.
+//! Bit-exactness contract: a class's result does not depend on which other
+//! classes share its block. Per column the kernels sum in a fixed order
+//! (entries in storage order, Kahan-compensated reductions front to back),
+//! so solving `[c]` alone reproduces `c`'s column of a larger batch **bit
+//! for bit** — the tests assert exact `==` against a plain per-class
+//! transcription of Algorithm 1, not a tolerance. Classes whose residual
+//! crosses `epsilon` retire early: their column is swapped to the back of
+//! the active block (column-major storage makes this two slice swaps) and
+//! later iterations no longer touch it.
 
 use tmark_linalg::vector;
 use tmark_markov::ConvergenceReport;
@@ -25,12 +27,12 @@ use tmark_sparse_tensor::StochasticTensors;
 
 use crate::config::TMarkConfig;
 use crate::restart::{ica_refresh_restart_with, label_restart_into, RestartScratch};
-use crate::solver::{solve_class_from, ClassStationary, FeatureWalk, TRACE_CAP};
+use crate::solver::{ClassStationary, FeatureWalk, TRACE_CAP};
 
-/// Reusable column-major blocks for one batched solve, double-buffered
-/// like [`crate::solver::SolverWorkspace`]: the iteration writes the fresh
-/// `n × q` / `m × q` blocks and `mem::swap`s them with the current ones,
-/// so the per-iteration loop performs no heap allocation.
+/// Reusable column-major blocks for one batched solve, double-buffered:
+/// the iteration writes the fresh `n × q` / `m × q` blocks and
+/// `mem::swap`s them with the current ones, so the per-iteration loop
+/// performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct BatchWorkspace {
     xs: Vec<f64>,
@@ -88,7 +90,7 @@ fn swap_columns(block: &mut [f64], a: usize, b: usize, len: usize) {
 
 /// Runs Algorithm 1 for a set of classes in lockstep over shared
 /// column-major blocks. See the module docs for the bit-exactness
-/// contract with [`solve_class_from`].
+/// contract.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSolver<'a> {
     stoch: &'a StochasticTensors,
@@ -112,9 +114,14 @@ impl<'a> BatchSolver<'a> {
     ///
     /// `seeds` is indexed by *class id* (as produced by the fit's seed
     /// grouping); `warm` likewise holds optional warm-start pairs per class
-    /// id and may be empty when every class cold-starts. Each class's
-    /// initialization, iteration, and stopping decision replicate
-    /// [`solve_class_from`] exactly.
+    /// id and may be empty when every class cold-starts.
+    ///
+    /// Initialization follows the Section 4.3 example: `x₀` is the seed
+    /// indicator distribution (uniform over the network when a class has
+    /// no seeds) and `z₀` is uniform over the `m` link types. A warm pair
+    /// — e.g. the result of a fit with fewer labeled nodes — replaces that
+    /// start; because the fixed point is unique (Theorem 3), warm starting
+    /// changes only the iteration count, not the answer.
     pub fn solve(
         &self,
         classes: &[usize],
@@ -139,7 +146,7 @@ impl<'a> BatchSolver<'a> {
         let mut converged = vec![false; q];
         let mut trace_truncated = vec![0usize; q];
 
-        // Per-class initialization, mirroring solve_class_from.
+        // Per-class initialization.
         for p in 0..q {
             let class_seeds = &seeds[classes[p]];
             let rcol = &mut ws.restarts[p * n..(p + 1) * n];
@@ -260,8 +267,7 @@ impl<'a> BatchSolver<'a> {
                 }
             }
         }
-        // Classes that exhausted the budget keep their last iterate, like
-        // the per-class solver.
+        // Classes that exhausted the budget keep their last iterate.
         for (p, &orig) in orig_of.iter().enumerate().take(active) {
             ws.out_xs[orig * n..(orig + 1) * n].copy_from_slice(&ws.xs[p * n..(p + 1) * n]);
             ws.out_zs[orig * m..(orig + 1) * m].copy_from_slice(&ws.zs[p * m..(p + 1) * m]);
@@ -310,33 +316,17 @@ fn assemble(
         .collect()
 }
 
-/// Runs [`solve_class_from`] for one class, translating a solver panic
-/// (e.g. a poisoned iterate tripping a Theorem-1 assertion) into an `Err`
-/// instead of unwinding into the caller. Used by the fit path to attribute
-/// a batch failure to the specific class that caused it.
-pub(crate) fn solve_class_caught(
-    class_id: usize,
-    stoch: &StochasticTensors,
-    w: &FeatureWalk,
-    seeds: &[usize],
-    config: &TMarkConfig,
-    warm: Option<(&[f64], &[f64])>,
-) -> Result<ClassStationary, ()> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut ws = crate::solver::SolverWorkspace::default();
-        solve_class_from(class_id, stoch, w, seeds, config, &mut ws, warm)
-    }))
-    .map_err(|_| ())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::reference::reference_solve;
     use tmark_feature_walk::feature_transition_matrix;
     use tmark_linalg::DenseMatrix;
     use tmark_sparse_tensor::TensorBuilder;
 
-    fn community_setup() -> (StochasticTensors, FeatureWalk) {
+    /// Two 3-node communities joined by one bridge edge of a second type;
+    /// features align with the communities.
+    pub(crate) fn community_setup() -> (StochasticTensors, FeatureWalk) {
         let mut b = TensorBuilder::new(6, 2);
         for &(u, v) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
             b.add_undirected(u, v, 0);
@@ -368,8 +358,7 @@ mod tests {
         let mut ws = BatchWorkspace::default();
         let batched = solver.solve(&classes, seeds, &[], &mut ws);
         for (c, got) in batched.iter().enumerate() {
-            let mut sws = crate::solver::SolverWorkspace::default();
-            let want = crate::solver::solve_class(c, stoch, w, &seeds[c], config, &mut sws);
+            let want = reference_solve(c, stoch, w, &seeds[c], config, None);
             assert_eq!(got.x, want.x, "class {c} x");
             assert_eq!(got.z, want.z, "class {c} z");
             assert_eq!(got.report, want.report, "class {c} report");
@@ -429,14 +418,12 @@ mod tests {
             .collect();
         let rewarmed = solver.solve(&classes, &seeds, &warm, &mut ws);
         for c in 0..2 {
-            let mut sws = crate::solver::SolverWorkspace::default();
-            let want = crate::solver::solve_class_from(
+            let want = reference_solve(
                 c,
                 &stoch,
                 &w,
                 &seeds[c],
                 &config,
-                &mut sws,
                 Some((cold[c].x.as_slice(), cold[c].z.as_slice())),
             );
             assert_eq!(rewarmed[c].x, want.x, "class {c} warm x");
@@ -455,9 +442,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].class_id, 2);
         assert_eq!(out[1].class_id, 0);
-        let mut sws = crate::solver::SolverWorkspace::default();
-        let want =
-            crate::solver::solve_class(2, &stoch, &w, &seeds[2], &TMarkConfig::default(), &mut sws);
+        let want = reference_solve(2, &stoch, &w, &seeds[2], &TMarkConfig::default(), None);
         assert_eq!(out[0].x, want.x);
     }
 
@@ -472,22 +457,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.x, y.x);
             assert_eq!(x.z, y.z);
-        }
-    }
-
-    #[test]
-    fn solve_class_caught_reports_panics_as_errors() {
-        let (stoch, _) = community_setup();
-        // Columns sum to 2 — smuggled past the constructor, tripping the
-        // apply-time Theorem-1 assertion in debug builds.
-        let bad = DenseMatrix::from_vec(6, 6, vec![2.0 / 6.0; 36]).unwrap();
-        let w_bad = FeatureWalk::from_dense_unchecked(bad);
-        let config = TMarkConfig::default();
-        let out = solve_class_caught(0, &stoch, &w_bad, &[0], &config, None);
-        if cfg!(debug_assertions) {
-            assert!(out.is_err(), "poisoned walk must surface as Err");
-        } else {
-            assert!(out.is_ok(), "release builds do not assert");
         }
     }
 }

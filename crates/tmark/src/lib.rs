@@ -68,7 +68,6 @@ pub mod config;
 pub mod explain;
 pub mod link_prediction;
 pub mod model;
-pub mod multirank;
 pub use tmark_linalg::pool;
 pub mod ranking;
 pub mod restart;
@@ -80,7 +79,14 @@ pub use config::{ConfigError, TMarkConfig};
 pub use explain::{channel_shares, explain_class, Explanation};
 pub use link_prediction::{link_score, top_missing_links, LinkCandidate};
 pub use model::{AnnParams, FeatureWalkMode, FitError, TMarkModel, TMarkResult};
-pub use multirank::{har, multirank, HarResult, MultiRankConfig, MultiRankResult};
 pub use ranking::LinkRanking;
 pub use serving::{ServingError, ServingSession, ServingStats};
-pub use solver::{ClassStationary, SolverWorkspace};
+pub use solver::ClassStationary;
+
+// The unit tests share the reference Algorithm-1 loop with the
+// integration tests, which name this crate `tmark`.
+#[cfg(test)]
+extern crate self as tmark;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod reference;

@@ -7,8 +7,10 @@ use tmark_linalg::similarity::SimilarityMetric;
 use tmark_linalg::DenseMatrix;
 use tmark_markov::ConvergenceReport;
 
+use crate::batch::{BatchSolver, BatchWorkspace};
 use crate::config::{ConfigError, TMarkConfig};
 use crate::ranking::LinkRanking;
+use crate::solver::ClassStationary;
 
 // The walk-mode vocabulary lives with the backends in
 // `tmark-feature-walk`; re-exported here so model users keep writing
@@ -321,44 +323,21 @@ impl TMarkModel {
             })
             .collect();
         let classes: Vec<usize> = (0..q).collect();
-        let solver = crate::batch::BatchSolver::new(stoch, &w, config);
+        let solver = BatchSolver::new(stoch, &w, config);
         let batch_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut ws = crate::batch::BatchWorkspace::default();
+            let mut ws = BatchWorkspace::default();
             solver.solve(&classes, &seeds, &warm, &mut ws)
         }));
-
-        let mut outputs: Vec<Option<crate::solver::ClassStationary>> =
-            (0..q).map(|_| None).collect();
-        match batch_result {
-            Ok(solved) => {
-                for out in solved {
-                    let c = out.class_id;
-                    outputs[c] = Some(out);
-                }
-            }
-            Err(_) => {
-                // The lockstep batch panicked. Re-run the classes one at a
-                // time to attribute the failure to the poisoned class;
-                // healthy classmates still produce their solutions.
-                for c in 0..q {
-                    let warm_ref = warm[c].as_ref().map(|(x, z)| (x.as_slice(), z.as_slice()));
-                    match crate::batch::solve_class_caught(
-                        c, stoch, &w, &seeds[c], &config, warm_ref,
-                    ) {
-                        Ok(out) => outputs[c] = Some(out),
-                        Err(()) => return Err(FitError::ClassSolveFailed(c)),
-                    }
-                }
-            }
-        }
+        let solved = match batch_result {
+            Ok(solved) => solved,
+            Err(_) => solve_each_class_caught(&solver, &seeds, &warm)?,
+        };
 
         let mut confidences = DenseMatrix::zeros(n, q);
         let mut link_scores = DenseMatrix::zeros(m, q);
         let mut reports = Vec::with_capacity(q);
-        for (c, out) in outputs.into_iter().enumerate() {
-            let Some(out) = out else {
-                return Err(FitError::ClassSolveFailed(c));
-            };
+        for out in solved {
+            let c = out.class_id;
             for (i, &xi) in out.x.iter().enumerate() {
                 confidences.set(i, c, xi);
             }
@@ -375,6 +354,30 @@ impl TMarkModel {
             class_names: hin.labels().class_names().to_vec(),
         })
     }
+}
+
+/// The fit's fallback after the lockstep batch panicked: re-solves the
+/// classes one at a time, each inside `catch_unwind`, to attribute the
+/// failure to the poisoned class. A single-class solve is bitwise equal to
+/// that class's column of the batch, so healthy classes keep their exact
+/// solutions; the first class whose solve panics becomes
+/// [`FitError::ClassSolveFailed`].
+fn solve_each_class_caught(
+    solver: &BatchSolver<'_>,
+    seeds: &[Vec<usize>],
+    warm: &[Option<(Vec<f64>, Vec<f64>)>],
+) -> Result<Vec<ClassStationary>, FitError> {
+    (0..seeds.len())
+        .map(|c| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut ws = BatchWorkspace::default();
+                solver.solve(&[c], seeds, warm, &mut ws)
+            }))
+            .ok()
+            .and_then(|mut out| out.pop())
+            .ok_or(FitError::ClassSolveFailed(c))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -415,6 +418,37 @@ mod tests {
             b.add_undirected_edge(u, v, 1).unwrap();
         }
         b.build().unwrap()
+    }
+
+    #[test]
+    fn per_class_retry_reports_panics_as_errors() {
+        use crate::solver::FeatureWalk;
+        let (stoch, w) = crate::batch::tests::community_setup();
+        let seeds = vec![vec![0], vec![3]];
+        let config = TMarkConfig::default();
+        // Healthy classes: the one-at-a-time retry reproduces the batch.
+        let healthy = BatchSolver::new(&stoch, &w, config);
+        let retried = solve_each_class_caught(&healthy, &seeds, &[]).unwrap();
+        let batch = healthy.solve(&[0, 1], &seeds, &[], &mut BatchWorkspace::default());
+        for (a, b) in retried.iter().zip(&batch) {
+            assert_eq!(a.x, b.x);
+            assert_eq!(a.report, b.report);
+        }
+        // Columns sum to 2 — smuggled past the constructor, tripping the
+        // apply-time Theorem-1 assertion in debug builds.
+        let bad = DenseMatrix::from_vec(6, 6, vec![2.0 / 6.0; 36]).unwrap();
+        let w_bad = FeatureWalk::from_dense_unchecked(bad);
+        let poisoned = BatchSolver::new(&stoch, &w_bad, config);
+        let out = solve_each_class_caught(&poisoned, &seeds, &[]);
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                out.unwrap_err(),
+                FitError::ClassSolveFailed(0),
+                "poisoned walk must surface as Err"
+            );
+        } else {
+            assert!(out.is_ok(), "release builds do not assert");
+        }
     }
 
     #[test]

@@ -1,36 +1,14 @@
-//! The per-class coupled fixed-point iteration (Algorithm 1).
+//! The per-class output of Algorithm 1 and the solver's shared limits.
+//!
+//! The iteration itself lives in [`crate::batch::BatchSolver`], which runs
+//! any set of classes — a single one included — in lockstep.
 
-use tmark_linalg::vector;
 use tmark_markov::ConvergenceReport;
-use tmark_sparse_tensor::StochasticTensors;
-
-use crate::config::TMarkConfig;
-use crate::restart::{ica_refresh_restart_with, label_restart_into, RestartScratch};
 
 // The feature-walk operator lives in `tmark-feature-walk` (together with
 // the dense/kNN/ANN backends that build it); re-exported here because the
 // solver's API is stated in terms of it.
 pub use tmark_feature_walk::FeatureWalk;
-
-/// Reusable buffers for one class solve, so that parameter sweeps do not
-/// allocate per configuration.
-///
-/// The iterates `x`/`z` and their successors `next_x`/`next_z` are owned
-/// here and double-buffered: each iteration writes the fresh pair and then
-/// `mem::swap`s the buffers, so the per-iteration loop of Algorithm 1
-/// performs no heap allocation and no `O(n)` copy-back.
-#[derive(Debug, Default)]
-pub struct SolverWorkspace {
-    x: Vec<f64>,
-    z: Vec<f64>,
-    ox: Vec<f64>,
-    wx: Vec<f64>,
-    next_x: Vec<f64>,
-    next_z: Vec<f64>,
-    restart: Vec<f64>,
-    scratch: RestartScratch,
-    trace: Vec<f64>,
-}
 
 /// Hard cap on the recorded residual-trace length. The capacity is
 /// reserved up front (in the workspace, outside the hot loop) and pushes
@@ -53,198 +31,34 @@ pub struct ClassStationary {
     pub report: ConvergenceReport,
 }
 
-/// Runs Algorithm 1 for a single class.
-///
-/// `seeds` are the labeled nodes of this class visible to the algorithm
-/// (the training subset). An empty seed set is tolerated: the run then
-/// degenerates to an unanchored walk and the caller's prediction will rely
-/// on the other classes.
-///
-/// Initialization follows the Section 4.3 example: `x₀` is the seed
-/// indicator distribution (uniform over the network when unseeded) and
-/// `z₀` is uniform over the `m` link types.
-pub fn solve_class(
-    class_id: usize,
-    stoch: &StochasticTensors,
-    w: &FeatureWalk,
-    seeds: &[usize],
-    config: &TMarkConfig,
-    ws: &mut SolverWorkspace,
-) -> ClassStationary {
-    solve_class_from(class_id, stoch, w, seeds, config, ws, None)
-}
-
-/// Like [`solve_class`], but optionally warm-started from a previous
-/// stationary pair `(x, z)` — e.g. the result of a fit with fewer labeled
-/// nodes. Because the fixed point is unique (Theorem 3), warm starting
-/// changes only the iteration count, not the answer; when labels arrive
-/// incrementally the previous solution is usually close and convergence
-/// takes a fraction of the cold-start iterations.
-pub fn solve_class_from(
-    class_id: usize,
-    stoch: &StochasticTensors,
-    w: &FeatureWalk,
-    seeds: &[usize],
-    config: &TMarkConfig,
-    ws: &mut SolverWorkspace,
-    warm_start: Option<(&[f64], &[f64])>,
-) -> ClassStationary {
-    let n = stoch.num_nodes();
-    let m = stoch.num_relations();
-    debug_assert_eq!(w.len(), n, "feature walk and tensor disagree on n");
-
-    let alpha = config.alpha;
-    let beta = config.beta();
-    let rel_w = config.relational_weight();
-
-    ws.restart.resize(n, 0.0);
-    label_restart_into(seeds, &mut ws.restart);
-    ws.x.resize(n, 0.0);
-    ws.z.resize(m, 0.0);
-    match warm_start {
-        // The guard makes the documented shape contract real in release
-        // builds: a warm start whose lengths disagree with the current
-        // network (it was fitted before a mutation changed `n` or `m`)
-        // cold-starts this class instead of indexing out of bounds.
-        // Theorem 3 uniqueness means only the iteration count differs.
-        Some((x0, z0)) if x0.len() == n && z0.len() == m => {
-            ws.x.copy_from_slice(x0);
-            ws.z.copy_from_slice(z0);
-            if !vector::normalize_sum_to_one(&mut ws.x) {
-                vector::fill_uniform(&mut ws.x);
-            }
-            if !vector::normalize_sum_to_one(&mut ws.z) {
-                vector::fill_uniform(&mut ws.z);
-            }
-        }
-        _ => {
-            if seeds.is_empty() {
-                vector::fill_uniform(&mut ws.x);
-            } else {
-                ws.x.copy_from_slice(&ws.restart);
-            }
-            vector::fill_uniform(&mut ws.z);
-        }
-    }
-
-    ws.ox.resize(n, 0.0);
-    ws.wx.resize(n, 0.0);
-    ws.next_x.resize(n, 0.0);
-    ws.next_z.resize(m, 0.0);
-
-    // The trace buffer lives in the workspace and its capacity is reserved
-    // here, outside the loop, so `push` never reallocates inside it.
-    ws.trace.clear();
-    ws.trace.reserve(config.max_iterations.min(TRACE_CAP));
-    let mut trace_truncated = 0usize;
-    let mut residual = f64::INFINITY;
-    let mut iterations = 0;
-    for t in 1..=config.max_iterations {
-        if config.ica_update && t >= config.ica_start_iteration {
-            ica_refresh_restart_with(
-                &ws.x,
-                seeds,
-                config.lambda,
-                &mut ws.restart,
-                &mut ws.scratch,
-            );
-        }
-        // x_{t} = (1 − α − β) · O ×̄₁ x ×̄₃ z + β · W x + α · l   (Eq. 10)
-        stoch
-            .contract_o_into(&ws.x, &ws.z, &mut ws.ox)
-            .expect("operand lengths fixed at construction");
-        w.apply_into(&ws.x, &mut ws.wx);
-        for i in 0..n {
-            ws.next_x[i] = rel_w * ws.ox[i] + beta * ws.wx[i] + alpha * ws.restart[i];
-        }
-        // With an empty restart vector the mass is α short; renormalize so
-        // the iterate stays a probability distribution (and to absorb
-        // floating-point drift in the seeded case).
-        vector::normalize_sum_to_one(&mut ws.next_x);
-        // z_t = R ×̄₁ x_t ×̄₂ x_t   (Eq. 8, using the fresh x as Algorithm 1 does)
-        stoch
-            .contract_r_into(&ws.next_x, &mut ws.next_z)
-            .expect("operand lengths fixed at construction");
-        vector::normalize_sum_to_one(&mut ws.next_z);
-
-        // Theorem 1: every iterate of Algorithm 1 stays on the simplex.
-        tmark_sparse_tensor::debug_assert_simplex!(
-            &ws.next_x,
-            tmark_sparse_tensor::invariants::SIMPLEX_TOL,
-            "Algorithm 1 node iterate x_t"
-        );
-        tmark_sparse_tensor::debug_assert_simplex!(
-            &ws.next_z,
-            tmark_sparse_tensor::invariants::SIMPLEX_TOL,
-            "Algorithm 1 link-type iterate z_t"
-        );
-
-        residual = vector::l1_distance(&ws.next_x, &ws.x) + vector::l1_distance(&ws.next_z, &ws.z);
-        if ws.trace.len() < TRACE_CAP {
-            ws.trace.push(residual);
-        } else {
-            trace_truncated += 1;
-        }
-        // Double-buffer flip: the fresh iterate becomes current without a
-        // copy; the stale buffer is overwritten next iteration.
-        std::mem::swap(&mut ws.x, &mut ws.next_x);
-        std::mem::swap(&mut ws.z, &mut ws.next_z);
-        iterations = t;
-        if residual < config.epsilon {
-            break;
-        }
-    }
-    let converged = residual < config.epsilon;
-    ClassStationary {
-        class_id,
-        x: ws.x.clone(),
-        z: ws.z.clone(),
-        report: ConvergenceReport {
-            iterations,
-            final_residual: residual,
-            converged,
-            residual_trace: ws.trace.clone(),
-            trace_truncated,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::tests::community_setup;
+    use crate::batch::{BatchSolver, BatchWorkspace};
+    use crate::config::TMarkConfig;
     use crate::restart::label_restart_vector;
-    use tmark_feature_walk::feature_transition_matrix;
-    use tmark_linalg::DenseMatrix;
-    use tmark_sparse_tensor::TensorBuilder;
+    use tmark_linalg::{vector, DenseMatrix};
+    use tmark_sparse_tensor::StochasticTensors;
 
-    /// Two 3-node communities joined by one bridge edge of a second type;
-    /// features align with the communities.
-    fn community_setup() -> (StochasticTensors, FeatureWalk) {
-        let mut b = TensorBuilder::new(6, 2);
-        for &(u, v) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-            b.add_undirected(u, v, 0);
-        }
-        b.add_undirected(2, 3, 1);
-        let tensor = b.build().unwrap();
-        let stoch = StochasticTensors::from_tensor(&tensor);
-        let features = DenseMatrix::from_rows(&[
-            vec![1.0, 0.0],
-            vec![0.9, 0.1],
-            vec![0.8, 0.2],
-            vec![0.2, 0.8],
-            vec![0.1, 0.9],
-            vec![0.0, 1.0],
-        ])
-        .unwrap();
-        let w = FeatureWalk::from_dense(feature_transition_matrix(&features));
-        (stoch, w)
+    /// Algorithm 1 for class 0 alone: the per-class call the fit's
+    /// panic-retry path makes.
+    fn solve_one(
+        stoch: &StochasticTensors,
+        w: &FeatureWalk,
+        seeds: &[usize],
+        config: &TMarkConfig,
+        ws: &mut BatchWorkspace,
+    ) -> ClassStationary {
+        let solver = BatchSolver::new(stoch, w, *config);
+        solver.solve(&[0], &[seeds.to_vec()], &[], ws).remove(0)
     }
 
     #[test]
     fn stationary_x_and_z_stay_on_simplex() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
         assert!(vector::is_stochastic(&out.x, 1e-9), "x = {:?}", out.x);
         assert!(vector::is_stochastic(&out.z, 1e-9), "z = {:?}", out.z);
     }
@@ -252,8 +66,8 @@ mod tests {
     #[test]
     fn converges_within_budget_on_small_network() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
         assert!(
             out.report.converged,
             "residual {}",
@@ -265,8 +79,8 @@ mod tests {
     #[test]
     fn confidence_concentrates_near_the_seed_community() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
         let left: f64 = out.x[..3].iter().sum();
         let right: f64 = out.x[3..].iter().sum();
         assert!(left > right * 2.0, "left {left}, right {right}");
@@ -275,8 +89,8 @@ mod tests {
     #[test]
     fn intra_community_link_type_outranks_the_bridge() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
         assert!(
             out.z[0] > out.z[1],
             "community link should outrank the bridge: z = {:?}",
@@ -287,8 +101,8 @@ mod tests {
     #[test]
     fn empty_seed_set_still_produces_valid_distributions() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[], &TMarkConfig::default(), &mut ws);
         assert!(vector::is_stochastic(&out.x, 1e-9));
         assert!(vector::is_stochastic(&out.z, 1e-9));
     }
@@ -296,7 +110,7 @@ mod tests {
     #[test]
     fn tensor_rrcc_differs_from_tmark_on_the_same_input() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
+        let mut ws = BatchWorkspace::default();
         // A permissive lambda so the refresh provably admits neighbours of
         // the seed into the restart set.
         // With alpha = 0.8 a single seed retains ~0.8 of the mass, so the
@@ -305,8 +119,8 @@ mod tests {
             lambda: 0.02,
             ..Default::default()
         };
-        let tmark = solve_class(0, &stoch, &w, &[0], &config, &mut ws);
-        let rrcc = solve_class(0, &stoch, &w, &[0], &config.tensor_rrcc(), &mut ws);
+        let tmark = solve_one(&stoch, &w, &[0], &config, &mut ws);
+        let rrcc = solve_one(&stoch, &w, &[0], &config.tensor_rrcc(), &mut ws);
         // The ICA refresh admits node 1 or 2 into the restart set, so the
         // stationary distribution must differ.
         let diff = vector::l1_distance(&tmark.x, &rrcc.x);
@@ -327,8 +141,8 @@ mod tests {
             epsilon: 1e-12,
             ..Default::default()
         };
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &config, &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &config, &mut ws);
         let wd = w.as_dense().expect("community_setup builds a dense walk");
         let rwr_config = tmark_markov::PageRankConfig {
             alpha: config.alpha,
@@ -357,20 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_into_matches_apply() {
-        let (_, w) = community_setup();
-        let x = vector::uniform(6);
-        let mut y = vec![f64::NAN; 6];
-        w.apply_into(&x, &mut y);
-        assert_eq!(y, w.apply(&x));
-    }
-
-    #[test]
     fn workspace_reuse_is_deterministic() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let a = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
-        let b = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let a = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let b = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
         assert_eq!(a.x, b.x);
         assert_eq!(a.z, b.z);
     }
@@ -388,8 +193,8 @@ mod tests {
             max_iterations: TRACE_CAP + 904,
             ..TMarkConfig::default()
         };
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &config, &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &config, &mut ws);
         assert!(!out.report.converged);
         assert_eq!(out.report.iterations, TRACE_CAP + 904);
         assert_eq!(out.report.residual_trace.len(), TRACE_CAP);
@@ -401,8 +206,8 @@ mod tests {
     #[test]
     fn short_runs_record_a_complete_trace() {
         let (stoch, w) = community_setup();
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
+        let mut ws = BatchWorkspace::default();
+        let out = solve_one(&stoch, &w, &[0], &TMarkConfig::default(), &mut ws);
         assert_eq!(out.report.residual_trace.len(), out.report.iterations);
         assert_eq!(out.report.trace_truncated, 0);
     }

@@ -8,7 +8,10 @@
 //! dense `W` and the tensor both clear the kernels' internal parallelism
 //! thresholds — at caps > 1 the parallel code paths genuinely execute.
 
-use tmark::solver::{solve_class, solve_class_from, FeatureWalk, SolverWorkspace};
+mod common;
+
+use common::reference_solve;
+use tmark::solver::FeatureWalk;
 use tmark::{BatchSolver, BatchWorkspace, TMarkConfig, TMarkModel};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_hin::{Hin, HinBuilder};
@@ -96,7 +99,7 @@ fn fit_is_bitwise_identical_across_thread_caps() {
 }
 
 #[test]
-fn batch_solver_matches_solve_class_at_every_cap() {
+fn batch_solver_matches_reference_loop_at_every_cap() {
     let (hin, train) = big_hin();
     let stoch = hin.stochastic_tensors();
     let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
@@ -115,9 +118,8 @@ fn batch_solver_matches_solve_class_at_every_cap() {
     let warm: Vec<Option<(Vec<f64>, Vec<f64>)>> = vec![None; q];
 
     pool::set_thread_cap(Some(1));
-    let mut ws = SolverWorkspace::default();
     let serial: Vec<_> = (0..q)
-        .map(|c| solve_class(c, &stoch, &w, &seeds[c], &config, &mut ws))
+        .map(|c| reference_solve(c, &stoch, &w, &seeds[c], &config, None))
         .collect();
 
     for cap in CAPS {
@@ -151,31 +153,18 @@ fn warm_started_solves_are_bitwise_identical_across_caps() {
         .filter(|&v| hin.labels().single_label_of(v) == Some(0))
         .collect();
 
+    let solver = BatchSolver::new(&stoch, &w, config);
+    let seeds = [seeds];
     pool::set_thread_cap(Some(1));
-    let mut ws = SolverWorkspace::default();
-    let cold = solve_class(0, &stoch, &w, &seeds, &config, &mut ws);
-    let warm_serial = solve_class_from(
-        0,
-        &stoch,
-        &w,
-        &seeds,
-        &config,
-        &mut ws,
-        Some((&cold.x, &cold.z)),
-    );
+    let mut ws = BatchWorkspace::default();
+    let cold = solver.solve(&[0], &seeds, &[], &mut ws).remove(0);
+    let warm_start = [Some((cold.x.clone(), cold.z.clone()))];
+    let warm_serial = solver.solve(&[0], &seeds, &warm_start, &mut ws).remove(0);
 
     for cap in CAPS {
         pool::set_thread_cap(Some(cap));
-        let mut ws = SolverWorkspace::default();
-        let warm = solve_class_from(
-            0,
-            &stoch,
-            &w,
-            &seeds,
-            &config,
-            &mut ws,
-            Some((&cold.x, &cold.z)),
-        );
+        let mut ws = BatchWorkspace::default();
+        let warm = solver.solve(&[0], &seeds, &warm_start, &mut ws).remove(0);
         assert_eq!(warm.x, warm_serial.x, "warm x diverged at cap {cap}");
         assert_eq!(warm.z, warm_serial.z, "warm z diverged at cap {cap}");
         assert_eq!(

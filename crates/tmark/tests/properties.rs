@@ -2,8 +2,11 @@
 //! must hold on arbitrary generated networks and parameter settings, not
 //! just the calibrated presets.
 
+mod common;
+
+use common::reference_solve;
 use proptest::prelude::*;
-use tmark::solver::{solve_class, FeatureWalk, SolverWorkspace};
+use tmark::solver::FeatureWalk;
 use tmark::{BatchSolver, BatchWorkspace, TMarkConfig, TMarkModel};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_hin::{Hin, HinBuilder};
@@ -108,8 +111,9 @@ proptest! {
         };
         let stoch = hin.stochastic_tensors();
         let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
-        let mut ws = SolverWorkspace::default();
-        let out = solve_class(0, &stoch, &w, &train, &config, &mut ws);
+        let out = BatchSolver::new(&stoch, &w, config)
+            .solve(&[0], &[train], &[], &mut BatchWorkspace::default())
+            .remove(0);
         // The cap binds unless the iterate converged *exactly* (bitwise),
         // which tiny graphs do reach.
         prop_assert!(out.report.iterations <= max_iterations);
@@ -163,8 +167,7 @@ proptest! {
             &mut BatchWorkspace::default(),
         );
         for (&c, out) in classes.iter().zip(&batch) {
-            let mut ws = SolverWorkspace::default();
-            let seq = solve_class(c, &stoch, &w, &seeds[c], &config, &mut ws);
+            let seq = reference_solve(c, &stoch, &w, &seeds[c], &config, None);
             prop_assert_eq!(&out.x, &seq.x, "class {} x diverged", c);
             prop_assert_eq!(&out.z, &seq.z, "class {} z diverged", c);
             prop_assert_eq!(&out.report, &seq.report, "class {} report diverged", c);

@@ -3,15 +3,16 @@
 //! `fit_warm` documents that a shape-stale warm start (the network grew or
 //! shrank since `previous` was fitted) silently falls back to a cold start
 //! for the affected class. These tests hand shape-mismatched warm pairs
-//! *directly* to [`BatchSolver::solve`] and [`solve_class_from`] — below
-//! the model-level guard — so they fail loudly if the runtime fallback
+//! *directly* to [`BatchSolver::solve`] — below the model-level guard,
+//! over a class block and over single classes — so they fail loudly if the
+//! runtime fallback
 //! ever regresses to a debug-only assertion. They carry no
 //! `cfg(debug_assertions)` gates on purpose: the CI release-mode test leg
 //! runs them against the optimized build, where `debug_assert!` is
 //! compiled out and only a real runtime check can save the solve.
 
-use tmark::solver::{solve_class_from, FeatureWalk};
-use tmark::{BatchSolver, BatchWorkspace, SolverWorkspace, TMarkConfig};
+use tmark::solver::FeatureWalk;
+use tmark::{BatchSolver, BatchWorkspace, TMarkConfig};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_linalg::DenseMatrix;
 use tmark_sparse_tensor::{StochasticTensors, TensorBuilder};
@@ -87,24 +88,15 @@ fn batch_solver_mixes_valid_and_stale_warm_starts_per_class() {
     let mut ws = BatchWorkspace::default();
     let cold = solver.solve(&classes, &seeds, &[], &mut ws);
     // Class 0 gets a genuine warm start; class 1 a stale one. The fallback
-    // is per class, so 0 must match the warm-started sequential solve and
-    // 1 must match its cold solve.
+    // is per class, so 0 must match its warm-started solve alone and 1
+    // must match its cold solve.
     let n = stoch.num_nodes();
     let mixed = vec![
         Some((cold[0].x.clone(), cold[0].z.clone())),
         Some((vec![0.5; n + 1], vec![0.5; 1])),
     ];
     let out = solver.solve(&classes, &seeds, &mixed, &mut ws);
-    let mut sws = SolverWorkspace::default();
-    let warm_want = solve_class_from(
-        0,
-        &stoch,
-        &w,
-        &seeds[0],
-        &config,
-        &mut sws,
-        Some((cold[0].x.as_slice(), cold[0].z.as_slice())),
-    );
+    let warm_want = solver.solve(&[0], &seeds, &mixed, &mut ws).remove(0);
     assert_eq!(out[0].x, warm_want.x, "valid warm start must be honoured");
     assert_eq!(out[0].report, warm_want.report);
     assert_eq!(out[1].x, cold[1].x, "stale warm start must cold-start");
@@ -118,9 +110,10 @@ fn sequential_solver_cold_starts_on_stale_warm_shapes() {
         epsilon: 1e-12,
         ..TMarkConfig::default()
     };
-    let seeds = [0usize];
-    let mut ws = SolverWorkspace::default();
-    let cold = solve_class_from(0, &stoch, &w, &seeds, &config, &mut ws, None);
+    let seeds = [vec![0usize]];
+    let solver = BatchSolver::new(&stoch, &w, config);
+    let mut ws = BatchWorkspace::default();
+    let cold = solver.solve(&[0], &seeds, &[], &mut ws).remove(0);
     let n = stoch.num_nodes();
     let m = stoch.num_relations();
     // Wrong n, wrong m, and both wrong — each must equal the cold solve.
@@ -133,7 +126,8 @@ fn sequential_solver_cold_starts_on_stale_warm_shapes() {
         (good_x.as_slice(), stale_z.as_slice()),
         (stale_x.as_slice(), stale_z.as_slice()),
     ] {
-        let out = solve_class_from(0, &stoch, &w, &seeds, &config, &mut ws, Some((x0, z0)));
+        let warm = [Some((x0.to_vec(), z0.to_vec()))];
+        let out = solver.solve(&[0], &seeds, &warm, &mut ws).remove(0);
         assert_eq!(out.x, cold.x, "stale shapes must fall back to cold x");
         assert_eq!(out.z, cold.z, "stale shapes must fall back to cold z");
         assert_eq!(out.report, cold.report, "fallback must match cold report");

@@ -153,10 +153,10 @@ mod tests {
         let text = r#"
 # registry
 [hot-loop-alloc]
-"crates/tmark/src/solver.rs" = ["solve_class_from"]
+"crates/tmark/src/batch.rs" = ["solve"]
 "crates/sparse-tensor/src/stochastic.rs" = [
-    "contract_o_into",  # Eq. 5
-    "contract_r_into",
+    "contract_o_multi_into",  # Eq. 5
+    "contract_r_multi_into",
 ]
 
 [float-determinism]
@@ -164,7 +164,7 @@ paths = ["crates/linalg/src/vector.rs"]
 
 [invariant-coverage]
 crates = ["crates/tmark"]
-allow = ["crates/tmark/src/solver.rs::solve_class"]
+allow = ["crates/sparse-tensor/src/stochastic.rs::contract_o"]
 
 [nondeterministic-order]
 crates = ["crates/tmark", "crates/linalg"]
@@ -174,12 +174,12 @@ allow = []
 "#;
         let config = parse(text).unwrap();
         assert_eq!(
-            config.hot_loop_alloc["crates/tmark/src/solver.rs"],
-            vec!["solve_class_from"]
+            config.hot_loop_alloc["crates/tmark/src/batch.rs"],
+            vec!["solve"]
         );
         assert_eq!(
             config.hot_loop_alloc["crates/sparse-tensor/src/stochastic.rs"],
-            vec!["contract_o_into", "contract_r_into"]
+            vec!["contract_o_multi_into", "contract_r_multi_into"]
         );
         assert_eq!(
             config.float_determinism_paths,
@@ -188,7 +188,7 @@ allow = []
         assert_eq!(config.invariant_crates, vec!["crates/tmark"]);
         assert!(config
             .invariant_allow
-            .contains("crates/tmark/src/solver.rs::solve_class"));
+            .contains("crates/sparse-tensor/src/stochastic.rs::contract_o"));
         assert_eq!(
             config.nondeterministic_order_crates,
             vec!["crates/tmark", "crates/linalg"]

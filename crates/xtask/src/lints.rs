@@ -758,7 +758,7 @@ mod tests {
     #[test]
     fn hot_loop_alloc_flags_registered_allocating_wrappers() {
         let src = "fn f() { let a = w.apply(&x); for t in 0..5 { \
-                   let b = w.apply(&x); w.apply_into(&x, &mut y); } }";
+                   let b = w.apply(&x); w.apply_multi_into(&x, 1, &mut y); } }";
         let scrubbed = scrub(src);
         let items = crate::items::parse(&scrubbed);
         let body = items[0].body.unwrap();
@@ -766,7 +766,7 @@ mod tests {
         let calls = vec!["apply".to_owned()];
         let findings = hot_loop_alloc_sites(&scrubbed, &spans, &calls, &index(&scrubbed));
         // The in-loop `apply` is flagged; the pre-loop call and the
-        // `apply_into` variant are not.
+        // `apply_multi_into` variant are not.
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("apply"));
     }

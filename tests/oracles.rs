@@ -1,14 +1,13 @@
 //! Oracle tests: in degenerate configurations T-Mark must reduce exactly
 //! to classical algorithms implemented independently in `tmark-markov`.
 
-use tmark::solver::{solve_class, FeatureWalk, SolverWorkspace};
-use tmark::{multirank, MultiRankConfig, TMarkConfig};
+use tmark::solver::FeatureWalk;
+use tmark::{BatchSolver, BatchWorkspace, TMarkConfig};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_hin::{Hin, HinBuilder};
 use tmark_linalg::vector::l1_distance;
 use tmark_linalg::DenseMatrix;
 use tmark_markov::{random_walk_with_restart, PageRankConfig};
-use tmark_sparse_tensor::StochasticTensors;
 
 /// A single-relation network whose aggregated chain we can feed to the
 /// dense matrix oracles.
@@ -63,8 +62,9 @@ fn gamma_zero_single_relation_tmark_is_rwr_on_the_chain() {
         ..TMarkConfig::default().tensor_rrcc()
     };
     let w = FeatureWalk::from_dense(feature_transition_matrix(hin.features()));
-    let mut ws = SolverWorkspace::default();
-    let out = solve_class(0, &stoch, &w, &[0], &config, &mut ws);
+    let out = BatchSolver::new(&stoch, &w, config)
+        .solve(&[0], &[vec![0]], &[], &mut BatchWorkspace::default())
+        .remove(0);
 
     let p = dense_chain(&hin);
     let mut restart = vec![0.0; hin.num_nodes()];
@@ -81,44 +81,4 @@ fn gamma_zero_single_relation_tmark_is_rwr_on_the_chain() {
         out.x,
         oracle
     );
-}
-
-#[test]
-fn multirank_with_one_relation_is_plain_power_iteration() {
-    let hin = single_relation_hin();
-    let stoch = hin.stochastic_tensors();
-    let result = multirank(
-        &stoch,
-        &MultiRankConfig {
-            epsilon: 1e-13,
-            max_iterations: 5000,
-        },
-    );
-    assert!(result.report.converged);
-    // The single relation holds all the relevance mass.
-    assert_eq!(result.relation_scores, vec![1.0]);
-    // Node scores are the chain's stationary distribution.
-    let p = dense_chain(&hin);
-    let mapped = p.matvec(&result.node_scores).unwrap();
-    assert!(
-        l1_distance(&mapped, &result.node_scores) < 1e-8,
-        "MultiRank node scores are not stationary under P"
-    );
-}
-
-#[test]
-fn symmetric_single_relation_multirank_is_degree_proportional() {
-    // For an undirected chain the stationary distribution of the simple
-    // random walk is proportional to degree; our ring is 2-regular, so
-    // MultiRank must be uniform.
-    let hin = single_relation_hin();
-    let stoch = StochasticTensors::from_tensor(hin.tensor());
-    let result = multirank(&stoch, &MultiRankConfig::default());
-    let n = hin.num_nodes() as f64;
-    for &s in &result.node_scores {
-        assert!(
-            (s - 1.0 / n).abs() < 1e-6,
-            "ring stationary not uniform: {s}"
-        );
-    }
 }
