@@ -7,8 +7,7 @@
 //! scale regime instead — 10^5–10^6 nodes, 10^7+ stored entries — with
 //! typed Zipf degree distributions, label homophily, Gaussian feature
 //! clusters, and a chunk-parallel build that streams edges straight into
-//! [`SparseTensor3::from_entry_chunks`] with bounded peak raw-entry
-//! memory.
+//! [`SparseTensor3::from_entries`] with bounded peak raw-entry memory.
 
 use std::collections::VecDeque;
 
@@ -380,7 +379,7 @@ impl PowerLawHinConfig {
     }
 
     /// Synthesizes every relation's edges in pool waves and streams the
-    /// chunks into [`SparseTensor3::from_entry_chunks`]: at most
+    /// flattened chunks into [`SparseTensor3::from_entries`]: at most
     /// [`WAVE`] raw chunks are alive at once, so peak memory is the
     /// compact entry array plus a constant, not the full raw edge list.
     fn build_tensor(&self, n: usize, q: usize) -> SparseTensor3 {
@@ -423,7 +422,7 @@ impl PowerLawHinConfig {
             }
             ready.pop_front()
         });
-        SparseTensor3::from_entry_chunks(n, m, chunks)
+        SparseTensor3::from_entries(n, m, chunks.flatten())
             .unwrap_or_else(|e| unreachable!("shape and width validated by generate: {e}"))
     }
 
@@ -904,7 +903,7 @@ mod tests {
 
     /// ROADMAP item 1 scale smoke: 10^5 nodes and ~10^6 stored entries
     /// through the chunked build path (pool-parallel edge synthesis
-    /// streamed into `SparseTensor3::from_entry_chunks`, which validates
+    /// streamed into `SparseTensor3::from_entries`, which validates
     /// the packed-index width before any entry lands). Chunking brought
     /// this from `#[ignore]`d-seconds down to the default suite, under a
     /// wall-clock budget that holds even for unoptimized debug builds.

@@ -22,7 +22,7 @@ pub enum WalkError {
     /// The feature matrix has more rows than the packed `u32` node
     /// indices can address. Validating here, once, is what lets the
     /// sweep/emit kernels cast raw (see the `[lossy-cast]` allowlist in
-    /// xtask/scale-registry.toml).
+    /// xtask/hot-paths.toml).
     IndexOverflow {
         /// The declared node count.
         nodes: usize,

@@ -25,7 +25,10 @@
 use std::fmt;
 use std::io::{BufRead, Write};
 
-use crate::builder::HinBuilder;
+use tmark_linalg::DenseMatrix;
+use tmark_sparse_tensor::SparseTensor3;
+
+use crate::labels::LabelStore;
 use crate::network::Hin;
 
 /// Errors raised while reading the text format.
@@ -171,7 +174,7 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
         class_names.push(name);
     }
 
-    let mut builder = HinBuilder::new(d, link_names, class_names);
+    let q = class_names.len();
     let mut nodes: Vec<(usize, Vec<f64>)> = Vec::new();
     let mut labels: Vec<(usize, usize)> = Vec::new();
     let mut edges: Vec<(usize, usize, usize, f64)> = Vec::new();
@@ -221,6 +224,18 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
                     .ok_or_else(|| parse_err(ln, "label line missing class"))?
                     .parse()
                     .map_err(|e| parse_err(ln, format!("bad class id: {e}")))?;
+                if tok.next().is_some() {
+                    return Err(parse_err(ln, "label line needs '<node> <class>'"));
+                }
+                if v >= n {
+                    return Err(parse_err(ln, format!("label node id {v} out of range {n}")));
+                }
+                if c >= q {
+                    return Err(parse_err(
+                        ln,
+                        format!("label class id {c} out of range {q}"),
+                    ));
+                }
                 labels.push((v, c));
             }
             Some("edge") => {
@@ -250,6 +265,15 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
                         format!("edge weight {weight} must be finite and nonnegative"),
                     ));
                 }
+                if let Some(id) = [i, j].into_iter().find(|&id| id >= n) {
+                    return Err(parse_err(ln, format!("edge node id {id} out of range {n}")));
+                }
+                if k >= m {
+                    return Err(parse_err(
+                        ln,
+                        format!("edge relation index {k} out of range {m}"),
+                    ));
+                }
                 edges.push((i, j, k, weight));
             }
             Some(other) => {
@@ -260,36 +284,36 @@ pub fn read_hin<R: BufRead>(input: R) -> Result<Hin, IoError> {
     }
 
     // Node records in id order; a repeated id keeps its last record (the
-    // sort is stable).
+    // sort is stable). The rows grow with the records read, never with
+    // the header count.
     nodes.sort_by_key(|&(id, _)| id);
     let mut records = nodes.into_iter().peekable();
+    let mut rows = Vec::new();
     for id in 0..n {
         let mut f = None;
         while let Some((_, g)) = records.next_if(|&(rid, _)| rid == id) {
             f = Some(g);
         }
-        let f = f.ok_or_else(|| parse_err(0, format!("node {id} missing from input")))?;
-        builder.add_node(f);
+        rows.push(f.ok_or_else(|| parse_err(0, format!("node {id} missing from input")))?);
     }
+    let invalid = |e: &dyn fmt::Display| parse_err(0, format!("invalid network: {e}"));
+    let features = DenseMatrix::from_rows(&rows).map_err(|e| invalid(&e))?;
+    drop(rows);
+    let mut label_store = LabelStore::new(n, class_names);
     for (v, c) in labels {
-        builder
-            .set_label(v, c)
-            .map_err(|e| parse_err(0, format!("bad label record: {e}")))?;
+        label_store.add_label(v, c);
     }
-    for (i, j, k, w) in edges {
-        // Tensor entry a_{i,j,k}: walker moves j -> i.
-        builder
-            .add_weighted_directed_edge(j, i, k, w)
-            .map_err(|e| parse_err(0, format!("bad edge record: {e}")))?;
-    }
-    builder
-        .build()
-        .map_err(|e| parse_err(0, format!("invalid network: {e}")))
+    // Every record was checked at its own line, so the edge list becomes
+    // the tensor's entry array in place (tensor entry a_{i,j,k}: the
+    // walker moves j -> i).
+    let tensor = SparseTensor3::from_entries(n, m, edges).map_err(|e| invalid(&e))?;
+    Hin::from_bulk(tensor, features, link_names, label_store).map_err(|e| invalid(&e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::HinBuilder;
     use std::io::Cursor;
 
     fn sample_hin() -> Hin {
@@ -395,6 +419,36 @@ mod tests {
                 "node 0 1.0\nnode 1 1.0\nedge 1 0 0 -1\n",
                 9,
                 "edge weight -1",
+            ),
+        ] {
+            let err = read_hin(Cursor::new(with_header(2, body))).unwrap_err();
+            assert!(
+                matches!(err, IoError::Parse { line: l, .. } if l == line),
+                "{body:?}: {err}"
+            );
+            assert!(err.to_string().contains(what), "{body:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_ids_are_reported_at_their_line() {
+        for (body, line, what) in [
+            (
+                "node 0 1.0\nnode 1 1.0\nedge 2 0 0 1\n",
+                9,
+                "edge node id 2",
+            ),
+            (
+                "node 0 1.0\nnode 1 1.0\nedge 0 1 1 1\n",
+                9,
+                "edge relation index 1",
+            ),
+            ("node 0 1.0\nlabel 2 0\nnode 1 1.0\n", 8, "label node id 2"),
+            ("node 0 1.0\nnode 1 1.0\nlabel 1 1\n", 9, "label class id 1"),
+            (
+                "node 0 1.0\nnode 1 1.0\nlabel 1 0 0\n",
+                9,
+                "label line needs",
             ),
         ] {
             let err = read_hin(Cursor::new(with_header(2, body))).unwrap_err();

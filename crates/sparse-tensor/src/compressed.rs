@@ -24,12 +24,11 @@
 //! [`tmark_linalg::partition`]: disjoint chunks of the output vector can
 //! be computed by different pool workers and the result is bitwise
 //! identical to the serial kernel at any thread count. The nnz-balanced
-//! chunk boundaries are precomputed here, once, at construction.
+//! chunk boundaries are precomputed once, at construction.
 
-use tmark_linalg::partition;
-
-/// The compressed slice-pointer layout shared by both tensors. Built once
-/// in `StochasticTensors::from_tensor`; immutable afterwards.
+/// The compressed slice-pointer layout shared by both tensors. Assembled
+/// once, in place, by `StochasticTensors::from_tensor` (the one build
+/// routine; see its stage list); only value patches change it afterwards.
 #[derive(Debug, Clone)]
 pub(crate) struct CompressedSlices {
     /// Relation offsets into the storage-order arrays: relation `k` is
@@ -63,78 +62,6 @@ pub(crate) struct CompressedSlices {
 }
 
 impl CompressedSlices {
-    /// Assembles the layout from the storage-order entry stream and the
-    /// grouping boundaries the normalization passes already discovered.
-    ///
-    /// `entries` yields `(i, j, o, r, raw)` per entry in `(k, j, i)` sorted
-    /// order; `slice_ptr` and (`pair_ptr`, `order`) describe its relation
-    /// and `(i, j)` pair grouping.
-    pub(crate) fn build(
-        n: usize,
-        slice_ptr: Vec<usize>,
-        pair_ptr: Vec<usize>,
-        order: &[usize],
-        entries: &[(u32, u32, f64, f64, f64)],
-    ) -> Self {
-        let nnz = entries.len();
-        let mut row_idx = Vec::with_capacity(nnz);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut r_vals = Vec::with_capacity(nnz);
-        for &(i, j, _, r, _) in entries {
-            row_idx.push(i);
-            col_idx.push(j);
-            r_vals.push(r);
-        }
-
-        // Group the O path by output row with a stable counting sort, so
-        // each row keeps its entries in storage (k, j) order — the exact
-        // per-element summation order of the serial scatter kernel.
-        let mut o_row_ptr = vec![0usize; n + 1];
-        for &(i, ..) in entries {
-            o_row_ptr[i as usize + 1] += 1;
-        }
-        for i in 0..n {
-            // Row-pointer prefix sums are bounded by nnz (the counts they
-            // accumulate are entry counts of a materialized slice);
-            // checked_add keeps that bound executable at 10^7+ nnz.
-            o_row_ptr[i + 1] = o_row_ptr[i + 1]
-                .checked_add(o_row_ptr[i])
-                .unwrap_or_else(|| unreachable!("row prefix sums are bounded by nnz"));
-        }
-        let mut next = o_row_ptr.clone();
-        let mut o_col = vec![0u32; nnz];
-        let mut o_rel = vec![0u32; nnz];
-        let mut o_vals = vec![0.0f64; nnz];
-        let m = slice_ptr.len() - 1;
-        for k in 0..m {
-            for &(i, j, o, ..) in &entries[slice_ptr[k]..slice_ptr[k + 1]] {
-                let pos = next[i as usize];
-                next[i as usize] += 1;
-                o_col[pos] = j;
-                o_rel[pos] = k as u32;
-                o_vals[pos] = o;
-            }
-        }
-
-        let pair_order = order.iter().map(|&idx| idx as u32).collect();
-        let o_parts = partition::balanced_bounds(&o_row_ptr).as_slice().to_vec();
-        let r_parts = partition::balanced_bounds(&slice_ptr).as_slice().to_vec();
-        CompressedSlices {
-            slice_ptr,
-            row_idx,
-            col_idx,
-            r_vals,
-            o_row_ptr,
-            o_col,
-            o_rel,
-            o_vals,
-            pair_ptr,
-            pair_order,
-            o_parts,
-            r_parts,
-        }
-    }
-
     /// Stored entry count `D`.
     #[inline]
     pub(crate) fn nnz(&self) -> usize {
@@ -168,18 +95,17 @@ impl CompressedSlices {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{SparseTensor3, StochasticTensors};
 
     #[test]
     fn build_groups_the_o_path_by_row_in_storage_order() {
         // Two relations, three nodes; entries in (k, j, i) storage order.
         // k=0: (i=1, j=0), (i=2, j=0); k=1: (i=1, j=2).
-        let entries = vec![
-            (1u32, 0u32, 0.5, 1.0, 1.0),
-            (2, 0, 0.5, 1.0, 1.0),
-            (1, 2, 1.0, 1.0, 1.0),
-        ];
-        let cs = CompressedSlices::build(3, vec![0, 2, 3], vec![0, 1, 2, 3], &[0, 1, 2], &entries);
+        let t =
+            SparseTensor3::from_entries(3, 2, vec![(1, 2, 1, 1.0), (2, 0, 0, 1.0), (1, 0, 0, 1.0)])
+                .unwrap();
+        let s = StochasticTensors::from_tensor(&t);
+        let cs = s.layout();
         assert_eq!(cs.nnz(), 3);
         assert_eq!(cs.o_row_ptr, vec![0, 0, 2, 3]);
         // Row 1 keeps its entries in (k, j) order: (k=0, j=0) then (k=1, j=2).

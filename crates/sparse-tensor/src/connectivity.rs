@@ -101,43 +101,45 @@ pub fn is_irreducible(tensor: &SparseTensor3) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::TensorBuilder;
+
+    /// Unit-weight tensor from directed `(i, j, k)` entries plus
+    /// undirected `(u, v, k)` links stored both ways.
+    fn tensor(
+        n: usize,
+        m: usize,
+        directed: &[(usize, usize, usize)],
+        undirected: &[(usize, usize, usize)],
+    ) -> SparseTensor3 {
+        let both = undirected
+            .iter()
+            .flat_map(|&(u, v, k)| [(u, v, k), (v, u, k)]);
+        let entries = directed.iter().copied().chain(both);
+        SparseTensor3::from_entries(n, m, entries.map(|(i, j, k)| (i, j, k, 1.0))).unwrap()
+    }
 
     #[test]
     fn cycle_is_irreducible() {
-        let mut b = TensorBuilder::new(3, 1);
-        b.add_directed(1, 0, 0)
-            .add_directed(2, 1, 0)
-            .add_directed(0, 2, 0);
-        let t = b.build().unwrap();
+        let t = tensor(3, 1, &[(1, 0, 0), (2, 1, 0), (0, 2, 0)], &[]);
         assert!(is_irreducible(&t));
         assert_eq!(strongly_connected_components(&t).len(), 1);
     }
 
     #[test]
     fn chain_is_reducible() {
-        let mut b = TensorBuilder::new(3, 1);
-        b.add_directed(1, 0, 0).add_directed(2, 1, 0);
-        let t = b.build().unwrap();
+        let t = tensor(3, 1, &[(1, 0, 0), (2, 1, 0)], &[]);
         assert!(!is_irreducible(&t));
         assert_eq!(strongly_connected_components(&t).len(), 3);
     }
 
     #[test]
     fn undirected_connected_graph_is_irreducible() {
-        let mut b = TensorBuilder::new(4, 2);
-        b.add_undirected(0, 1, 0)
-            .add_undirected(1, 2, 1)
-            .add_undirected(2, 3, 0);
-        let t = b.build().unwrap();
+        let t = tensor(4, 2, &[], &[(0, 1, 0), (1, 2, 1), (2, 3, 0)]);
         assert!(is_irreducible(&t));
     }
 
     #[test]
     fn disconnected_components_are_detected() {
-        let mut b = TensorBuilder::new(4, 1);
-        b.add_undirected(0, 1, 0).add_undirected(2, 3, 0);
-        let t = b.build().unwrap();
+        let t = tensor(4, 1, &[], &[(0, 1, 0), (2, 3, 0)]);
         assert!(!is_irreducible(&t));
         let sccs = strongly_connected_components(&t);
         assert_eq!(sccs.len(), 2);
@@ -149,29 +151,20 @@ mod tests {
     #[test]
     fn irreducibility_uses_all_relations_jointly() {
         // Neither relation alone connects the graph, but together they do.
-        let mut b = TensorBuilder::new(3, 2);
-        b.add_undirected(0, 1, 0).add_undirected(1, 2, 1);
-        let t = b.build().unwrap();
+        let t = tensor(3, 2, &[], &[(0, 1, 0), (1, 2, 1)]);
         assert!(is_irreducible(&t));
     }
 
     #[test]
     fn isolated_node_breaks_irreducibility() {
-        let mut b = TensorBuilder::new(3, 1);
-        b.add_undirected(0, 1, 0);
-        let t = b.build().unwrap();
+        let t = tensor(3, 1, &[], &[(0, 1, 0)]);
         assert!(!is_irreducible(&t));
     }
 
     #[test]
     fn components_cover_all_nodes_exactly_once() {
-        let mut b = TensorBuilder::new(6, 1);
-        b.add_directed(1, 0, 0)
-            .add_directed(0, 1, 0)
-            .add_directed(3, 2, 0)
-            .add_directed(4, 3, 0)
-            .add_directed(2, 4, 0);
-        let t = b.build().unwrap();
+        let directed = [(1, 0, 0), (0, 1, 0), (3, 2, 0), (4, 3, 0), (2, 4, 0)];
+        let t = tensor(6, 1, &directed, &[]);
         let sccs = strongly_connected_components(&t);
         let mut all: Vec<usize> = sccs.into_iter().flatten().collect();
         all.sort_unstable();

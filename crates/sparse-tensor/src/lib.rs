@@ -18,23 +18,25 @@
 //! `O(D)` in the number of stored entries, matching the paper's Section 4.5
 //! complexity analysis.
 //!
-//! Layout of the crate:
-//! - [`builder::TensorBuilder`]: incremental COO construction.
-//! - [`tensor::SparseTensor3`]: the canonical deduplicated tensor with
-//!   mode-1/mode-3 matricization and dense conversion for small instances.
-//! - [`stochastic::StochasticTensors`]: the `(O, R)` pair with the
-//!   contractions `O ×̄₁ x ×̄₃ z` and `R ×̄₁ x ×̄₂ x` used by Algorithm 1.
+//! Each operator has one assembly routine:
+//! - [`tensor::SparseTensor3::from_entries`] builds the canonical
+//!   deduplicated COO tensor from any entry stream (one batch or the
+//!   generator's flattened chunks), with mode-1/mode-3 matricization and
+//!   dense conversion for small instances.
+//! - [`stochastic::StochasticTensors::from_tensor`] builds the `(O, R)`
+//!   pair with the contractions `O ×̄₁ x ×̄₃ z` and `R ×̄₁ x ×̄₂ x` used by
+//!   Algorithm 1. The work gate picks only how many chunks the build
+//!   runs in, never which code runs.
 //! - [`connectivity`]: irreducibility checks (strong connectivity of the
 //!   relation-aggregated graph), the standing assumption of Section 3.1.
 
 //! ```
-//! use tmark_sparse_tensor::{TensorBuilder, StochasticTensors};
+//! use tmark_sparse_tensor::{SparseTensor3, StochasticTensors};
 //!
-//! // A 3-node, 2-relation network.
-//! let mut b = TensorBuilder::new(3, 2);
-//! b.add_undirected(0, 1, 0);
-//! b.add_directed(2, 1, 1);
-//! let tensor = b.build().unwrap();
+//! // A 3-node, 2-relation network: an undirected 0–1 link of type 0
+//! // (stored both ways) and a directed 1 → 2 link of type 1.
+//! let entries = vec![(0, 1, 0, 1.0), (1, 0, 0, 1.0), (2, 1, 1, 1.0)];
+//! let tensor = SparseTensor3::from_entries(3, 2, entries).unwrap();
 //! let stoch = StochasticTensors::from_tensor(&tensor);
 //!
 //! // Contractions keep probability vectors on the simplex (Theorem 1).
@@ -46,13 +48,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-pub mod builder;
 mod compressed;
 pub mod connectivity;
 pub mod invariants;
 pub mod stochastic;
 pub mod tensor;
 
-pub use builder::TensorBuilder;
 pub use stochastic::StochasticTensors;
 pub use tensor::{PatchSummary, SparseTensor3, TensorError};

@@ -48,7 +48,7 @@ pub enum TensorError {
     /// represent. The compressed layouts store node and relation indices
     /// as `u32`; validating here, once, is what lets every downstream
     /// kernel cast raw (see the `[lossy-cast]` allowlist in
-    /// xtask/scale-registry.toml).
+    /// xtask/hot-paths.toml).
     IndexOverflow {
         /// Which dimension overflowed (`"node count"` / `"relation count"`).
         what: &'static str,
@@ -171,55 +171,48 @@ pub struct SparseTensor3 {
 }
 
 impl SparseTensor3 {
-    /// Builds a tensor from raw entries, validating, deduplicating
-    /// (summing), and dropping zeros.
+    /// Builds a tensor from any stream of raw entries, validating,
+    /// deduplicating (summing), and dropping zeros.
+    ///
+    /// Entries are validated as they are pulled, so a streaming source
+    /// (the generator's flattened edge chunks) never materializes its raw
+    /// list; a `Vec` source is converted in place, reusing its allocation.
+    /// The output depends only on the logical entry sequence, never on
+    /// how a source was chunked: the canonical sort is stable and
+    /// duplicates are summed in sorted-input order.
     ///
     /// # Errors
     /// [`TensorError::EmptyShape`] if `n == 0 || m == 0`;
     /// [`TensorError::IndexOverflow`] if `n` or `m` exceeds what the
-    /// packed `u32` kernel indices can represent;
+    /// packed `u32` kernel indices can represent (checked before any
+    /// entry is pulled);
     /// [`TensorError::IndexOutOfBounds`] / [`TensorError::NonFiniteValue`]
     /// / [`TensorError::NegativeValue`] per offending entry.
-    pub fn from_entries(
-        n: usize,
-        m: usize,
-        raw: Vec<(usize, usize, usize, f64)>,
-    ) -> Result<Self, TensorError> {
-        Self::check_shape(n, m)?;
-        let mut entries: Vec<Entry> = Vec::with_capacity(raw.len());
-        Self::validate_into(n, m, raw, &mut entries)?;
-        Ok(Self::finish_entries(n, m, entries))
-    }
-
-    /// Builds a tensor from a stream of entry chunks — same validation,
-    /// dedup, and ordering as [`SparseTensor3::from_entries`], bitwise
-    /// identical on the same logical entry sequence for *any* chunking.
-    ///
-    /// Unlike the one-shot constructor, the caller never materializes the
-    /// full raw entry list: each chunk is validated, compacted (zeros
-    /// dropped), and freed before the next one is pulled, so peak memory
-    /// is one chunk plus the compact entry array — the ingestion half of
-    /// the out-of-core build path for 10⁷+-nnz generated networks.
-    ///
-    /// # Errors
-    /// Exactly those of [`SparseTensor3::from_entries`], including the
-    /// `u32` [`TensorError::IndexOverflow`] width contract, checked before
-    /// any chunk is pulled.
-    pub fn from_entry_chunks<I>(n: usize, m: usize, chunks: I) -> Result<Self, TensorError>
+    pub fn from_entries<I>(n: usize, m: usize, raw: I) -> Result<Self, TensorError>
     where
-        I: IntoIterator<Item = Vec<(usize, usize, usize, f64)>>,
+        I: IntoIterator<Item = (usize, usize, usize, f64)>,
     {
         Self::check_shape(n, m)?;
-        let mut entries: Vec<Entry> = Vec::new();
-        for chunk in chunks {
-            // `chunk` is consumed and dropped here: only the surviving
-            // compact entries accumulate.
-            Self::validate_into(n, m, chunk, &mut entries)?;
-        }
+        let entries = raw
+            .into_iter()
+            .filter_map(|(i, j, k, value)| {
+                if i >= n || j >= n || k >= m {
+                    return Some(Err(TensorError::IndexOutOfBounds {
+                        index: (i, j, k),
+                        shape: (n, n, m),
+                    }));
+                }
+                match check_value((i, j, k), value) {
+                    Err(e) => Some(Err(e)),
+                    Ok(()) if value == 0.0 => None,
+                    Ok(()) => Some(Ok(Entry { i, j, k, value })),
+                }
+            })
+            .collect::<Result<Vec<Entry>, TensorError>>()?;
         Ok(Self::finish_entries(n, m, entries))
     }
 
-    /// The shared shape/width contract of every constructor.
+    /// The shape/width contract of the constructor.
     ///
     /// Width contract: every valid index is < n (resp. m), so requiring
     /// `n - 1 <= u32::MAX` makes `idx as u32` exact in every kernel
@@ -247,54 +240,28 @@ impl SparseTensor3 {
         Ok(())
     }
 
-    /// Validates one run of raw entries against the declared shape and
-    /// appends the surviving (nonzero) ones. Shared by the one-shot and
-    /// chunked constructors so both enforce identical rules in identical
-    /// order.
-    fn validate_into(
-        n: usize,
-        m: usize,
-        raw: impl IntoIterator<Item = (usize, usize, usize, f64)>,
-        entries: &mut Vec<Entry>,
-    ) -> Result<(), TensorError> {
-        for (i, j, k, value) in raw {
-            if i >= n || j >= n || k >= m {
-                return Err(TensorError::IndexOutOfBounds {
-                    index: (i, j, k),
-                    shape: (n, n, m),
-                });
-            }
-            check_value((i, j, k), value)?;
-            if value != 0.0 {
-                entries.push(Entry { i, j, k, value });
-            }
-        }
-        Ok(())
-    }
-
-    /// The shared back half of every constructor: canonical `(k, j, i)`
-    /// sort, duplicate merge (summing in sorted order, so the result does
-    /// not depend on how the input was chunked), and the relation
-    /// slice-pointer prefix sums.
+    /// The back half of the constructor: canonical `(k, j, i)` stable
+    /// sort, duplicate merge in place (summing in sorted order, so the
+    /// result does not depend on how the input was chunked), and the
+    /// relation slice-pointer prefix sums. The merged vector is shrunk to
+    /// its length so the tensor retains no slack.
     fn finish_entries(n: usize, m: usize, mut entries: Vec<Entry>) -> Self {
         entries.sort_by_key(|e| (e.k, e.j, e.i));
-        // Merge duplicates in place.
-        let mut merged: Vec<Entry> = Vec::with_capacity(entries.len());
-        for e in entries {
-            match merged.last_mut() {
-                Some(last) if last.i == e.i && last.j == e.j && last.k == e.k => {
-                    last.value += e.value;
-                }
-                _ => merged.push(e),
+        entries.dedup_by(|e, kept| {
+            let same = (e.i, e.j, e.k) == (kept.i, kept.j, kept.k);
+            if same {
+                kept.value += e.value;
             }
-        }
+            same
+        });
+        entries.shrink_to_fit();
         let mut slice_ptr = vec![0usize; m + 1];
-        for e in &merged {
+        for e in &entries {
             slice_ptr[e.k + 1] += 1;
         }
         for k in 0..m {
             // Prefix sums of per-relation entry counts are bounded by
-            // nnz, which fits usize because `merged` is materialized;
+            // nnz, which fits usize because `entries` is materialized;
             // checked_add makes that bound executable at 10^7+ nnz
             // instead of relying on debug assertions.
             slice_ptr[k + 1] = slice_ptr[k + 1]
@@ -304,7 +271,7 @@ impl SparseTensor3 {
         SparseTensor3 {
             n,
             m,
-            entries: merged,
+            entries,
             slice_ptr,
         }
     }
@@ -629,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn from_entry_chunks_matches_from_entries_on_the_worked_example() {
+    fn flattened_chunks_match_one_batch_on_the_worked_example() {
         let raw = vec![
             (1, 0, 0, 1.0),
             (2, 0, 0, 1.0),
@@ -647,20 +614,22 @@ mod tests {
             raw[2..5].to_vec(),
             raw[5..].to_vec(),
         ];
-        let chunked = SparseTensor3::from_entry_chunks(4, 3, chunks).unwrap();
+        let chunked = SparseTensor3::from_entries(4, 3, chunks.into_iter().flatten()).unwrap();
         assert_eq!(whole, chunked);
     }
 
     #[test]
-    fn from_entry_chunks_dedups_across_chunk_boundaries() {
+    fn flattened_chunks_dedup_across_chunk_boundaries() {
         // The same coordinate split across chunks must merge exactly as if
         // the entries had arrived in one batch.
         let whole =
             SparseTensor3::from_entries(2, 1, vec![(0, 1, 0, 1.0), (0, 1, 0, 2.0)]).unwrap();
-        let chunked = SparseTensor3::from_entry_chunks(
+        let chunked = SparseTensor3::from_entries(
             2,
             1,
-            vec![vec![(0, 1, 0, 1.0)], vec![(0, 1, 0, 2.0)]],
+            vec![vec![(0, 1, 0, 1.0)], vec![(0, 1, 0, 2.0)]]
+                .into_iter()
+                .flatten(),
         )
         .unwrap();
         assert_eq!(whole, chunked);
@@ -670,7 +639,7 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn from_entry_chunks_rejects_dimensions_past_u32_before_pulling_chunks() {
+    fn from_entries_rejects_dimensions_past_u32_before_pulling_chunks() {
         // The width contract fails up front: the chunk iterator must not
         // be consumed at all (a streaming source may be expensive).
         let too_many = u32::MAX as usize + 2;
@@ -681,7 +650,7 @@ mod tests {
         })
         .take(1);
         assert_eq!(
-            SparseTensor3::from_entry_chunks(too_many, 1, chunks),
+            SparseTensor3::from_entries(too_many, 1, chunks.flatten()),
             Err(TensorError::IndexOverflow {
                 what: "node count",
                 value: too_many,
@@ -693,7 +662,7 @@ mod tests {
             "overflow must be detected before any chunk is pulled"
         );
         assert_eq!(
-            SparseTensor3::from_entry_chunks(2, too_many, Vec::new()),
+            SparseTensor3::from_entries(2, too_many, Vec::<Vec<_>>::new().into_iter().flatten()),
             Err(TensorError::IndexOverflow {
                 what: "relation count",
                 value: too_many,
@@ -703,17 +672,19 @@ mod tests {
     }
 
     #[test]
-    fn from_entry_chunks_rejects_bad_entries_in_any_chunk() {
+    fn flattened_chunks_reject_bad_entries_in_any_chunk() {
         assert!(matches!(
-            SparseTensor3::from_entry_chunks(
+            SparseTensor3::from_entries(
                 2,
                 2,
-                vec![vec![(0, 0, 0, 1.0)], vec![(2, 0, 0, 1.0)]],
+                vec![vec![(0, 0, 0, 1.0)], vec![(2, 0, 0, 1.0)]]
+                    .into_iter()
+                    .flatten(),
             ),
             Err(TensorError::IndexOutOfBounds { .. })
         ));
         assert!(matches!(
-            SparseTensor3::from_entry_chunks(2, 2, vec![vec![(0, 0, 0, -1.0)]]),
+            SparseTensor3::from_entries(2, 2, vec![vec![(0, 0, 0, -1.0)]].into_iter().flatten()),
             Err(TensorError::NegativeValue { .. })
         ));
     }
@@ -741,10 +712,12 @@ mod tests {
                 })
             ));
             assert!(matches!(
-                SparseTensor3::from_entry_chunks(
+                SparseTensor3::from_entries(
                     2,
                     1,
-                    vec![vec![(0, 1, 0, 1.0)], vec![(1, 0, 0, value)]],
+                    vec![vec![(0, 1, 0, 1.0)], vec![(1, 0, 0, value)]]
+                        .into_iter()
+                        .flatten(),
                 ),
                 Err(TensorError::NonFiniteValue {
                     index: (1, 0, 0),
@@ -759,6 +732,21 @@ mod tests {
             ));
             assert_eq!(t, before, "a rejected patch leaves the tensor unchanged");
         }
+    }
+
+    #[test]
+    fn merged_entries_retain_no_capacity_slack() {
+        // Duplicates and zeros shrink the entry count below the raw
+        // count; the tensor keeps exactly its stored entries.
+        let raw = vec![
+            (0, 1, 0, 1.0),
+            (0, 1, 0, 2.0),
+            (1, 0, 0, 0.0),
+            (1, 1, 0, 1.0),
+        ];
+        let t = SparseTensor3::from_entries(2, 1, raw).unwrap();
+        assert_eq!(t.nnz(), 2);
+        assert_eq!(t.entries.capacity(), 2);
     }
 
     #[test]

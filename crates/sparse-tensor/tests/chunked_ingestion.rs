@@ -1,12 +1,12 @@
 //! Property tests for the chunked COO ingestion API.
 //!
-//! `SparseTensor3::from_entry_chunks` must be *bitwise* equivalent to
-//! `from_entries` on the same logical entry sequence for every possible
-//! chunking — the canonical `(k, j, i)` sort is stable and the duplicate
+//! `SparseTensor3::from_entries` over a flattened chunk stream must be
+//! *bitwise* equivalent to the same call over one batch of the same
+//! logical entry sequence, for every possible chunking — the canonical `(k, j, i)` sort is stable and the duplicate
 //! merge sums in sorted-input order, so chunk boundaries cannot move a
 //! single ulp. These tests compare stored values through `f64::to_bits`,
-//! never a tolerance, and exercise the `u32` width contract at the chunk
-//! API.
+//! never a tolerance, and exercise the `u32` width contract on a chunk
+//! stream.
 
 use proptest::prelude::*;
 use tmark_sparse_tensor::{SparseTensor3, TensorError};
@@ -58,22 +58,22 @@ proptest! {
             .collect();
         let whole = SparseTensor3::from_entries(n, m, raw.clone()).unwrap();
         let chunked =
-            SparseTensor3::from_entry_chunks(n, m, chunk_at(&raw, &cuts)).unwrap();
+            SparseTensor3::from_entries(n, m, chunk_at(&raw, &cuts).into_iter().flatten()).unwrap();
         prop_assert_eq!(entry_bits(&whole), entry_bits(&chunked));
         prop_assert_eq!(whole.slice_ptr(), chunked.slice_ptr());
         prop_assert_eq!(whole.shape(), chunked.shape());
     }
 
-    /// The chunk API enforces the same `u32` width contract as the
-    /// one-shot constructor, before consuming any chunk.
+    /// A chunk stream meets the same `u32` width contract as one batch,
+    /// before any chunk is consumed.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn chunked_build_rejects_overwide_shapes(extra in 1usize..1000) {
         let too_many = u32::MAX as usize + 1 + extra;
-        let outcome = SparseTensor3::from_entry_chunks(
+        let outcome = SparseTensor3::from_entries(
             too_many,
             1,
-            vec![vec![(0usize, 0usize, 0usize, 1.0f64)]],
+            vec![vec![(0usize, 0usize, 0usize, 1.0f64)]].into_iter().flatten(),
         );
         prop_assert_eq!(
             outcome,

@@ -15,16 +15,23 @@ use tmark::solver::FeatureWalk;
 use tmark::{BatchSolver, BatchWorkspace, TMarkConfig};
 use tmark_feature_walk::feature_transition_matrix;
 use tmark_linalg::DenseMatrix;
-use tmark_sparse_tensor::{StochasticTensors, TensorBuilder};
+use tmark_sparse_tensor::{SparseTensor3, StochasticTensors};
 
 /// Two three-node communities bridged by one edge of a second link type.
 fn community_setup() -> (StochasticTensors, FeatureWalk) {
-    let mut b = TensorBuilder::new(6, 2);
-    for &(u, v) in &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
-        b.add_undirected(u, v, 0);
-    }
-    b.add_undirected(2, 3, 1);
-    let tensor = b.build().unwrap();
+    let links = [
+        (0, 1, 0),
+        (1, 2, 0),
+        (0, 2, 0),
+        (3, 4, 0),
+        (4, 5, 0),
+        (3, 5, 0),
+        (2, 3, 1),
+    ];
+    let both = links
+        .iter()
+        .flat_map(|&(u, v, k)| [(u, v, k, 1.0), (v, u, k, 1.0)]);
+    let tensor = SparseTensor3::from_entries(6, 2, both).unwrap();
     let stoch = StochasticTensors::from_tensor(&tensor);
     let features = DenseMatrix::from_rows(&[
         vec![1.0, 0.0],

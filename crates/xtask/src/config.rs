@@ -16,10 +16,16 @@
 //! - `[nondeterministic-order]` names the crates whose library code may
 //!   not iterate `HashMap`/`HashSet` (iteration order leaks into results);
 //! - `[unsafe-forbid]` lists crates exempt from the
-//!   `#![forbid(unsafe_code)]` crate-root requirement.
+//!   `#![forbid(unsafe_code)]` crate-root requirement;
+//! - `[lossy-cast]`, `[overflow-arith]` and `[quadratic-alloc]` drive the
+//!   scale-safety rules of [`crate::scale`]: the `file::fn` kernels whose
+//!   `as u32` casts consume validated indices plus the crates pinned at
+//!   zero, the build-path functions whose offset arithmetic must be
+//!   checked, and the files allowed to allocate node × node buffers.
 //!
-//! Every entry is validated against the live item tree by the
-//! registry-rot rule, so the registry cannot silently go stale.
+//! This is the one registry and the one parser of it. Every entry is
+//! validated against the live item tree by the registry-rot rule, so the
+//! registry cannot silently go stale.
 //!
 //! Like the baseline, only the TOML subset this file needs is parsed —
 //! section headers, `#` comments, and `key = "string"` /
@@ -47,6 +53,18 @@ pub struct RuleConfig {
     pub nondeterministic_order_crates: Vec<String>,
     /// Crate directories excused from the `#![forbid(unsafe_code)]` gate.
     pub unsafe_forbid_allow: BTreeSet<String>,
+    /// `file::fn` entries whose casts are provably width-safe (they
+    /// consume indices already validated at a build boundary).
+    pub lossy_cast_allow: BTreeSet<String>,
+    /// Crate directories whose lossy-cast count is pinned at an explicit
+    /// zero in the baseline (the ingestion/build crates).
+    pub lossy_cast_pinned: Vec<String>,
+    /// File → build-path functions whose offset arithmetic must be
+    /// checked or widened.
+    pub overflow_arith: BTreeMap<String, Vec<String>>,
+    /// Files allowed to materialize node×node buffers (the dense walk
+    /// backend and the dense matrix type itself).
+    pub quadratic_alloc_dense: Vec<String>,
 }
 
 /// Parses the registry document.
@@ -137,6 +155,13 @@ fn apply(
         ("unsafe-forbid", "allow") => {
             config.unsafe_forbid_allow = value.into_iter().collect();
         }
+        ("lossy-cast", "allow") => config.lossy_cast_allow = value.into_iter().collect(),
+        ("lossy-cast", "pinned") => config.lossy_cast_pinned = value,
+        // Real file keys contain `/`, so no reserved-key clash.
+        ("overflow-arith", file) => {
+            config.overflow_arith.insert(file.to_owned(), value);
+        }
+        ("quadratic-alloc", "dense") => config.quadratic_alloc_dense = value,
         (section, key) => {
             return Err(format!("unknown entry `{key}` in section [{section}]"));
         }

@@ -205,7 +205,7 @@ ascribed a float type (`nums[0] as usize` on a float-parsed id — the
 cast silently truncates toward zero). Test code is exempt; counts are
 ratcheted per crate in `[lossy-cast]` of xtask/lint-baseline.toml, and
 the ingestion/build crates listed under `pinned` in
-xtask/scale-registry.toml are held at an explicit 0.
+xtask/hot-paths.toml are held at an explicit 0.
 
 Rationale: the compressed kernels pack node and relation indices as
 u32; at the million-node scale of ROADMAP item 1 a raw `as u32` wraps
@@ -221,7 +221,7 @@ documents exactly where raw casts are provably width-safe.",
         summary: "ratcheted unchecked offset arithmetic in build-path fns",
         detail: "\
 Inside the functions registered under `[overflow-arith]` in
-xtask/scale-registry.toml, flags bare `+`, `*`, `+=`, and `*=` where an
+xtask/hot-paths.toml, flags bare `+`, `*`, `+=`, and `*=` where an
 adjacent operand is named as an offset, length, or count (`*_ptr`,
 `nnz`, `len`, `offset`, `stride`). Literal counter bumps
 (`row_ptr[i] += 1`) are exempt — a counter bounded by a loop trip count
@@ -247,7 +247,7 @@ where both factors resolve to node-count identifiers (`n`, `num_nodes`,
 `rows`, `cols`, ...). Bounded factors (`n * (k + 1)`), method-call
 dimensions (`y.rows() * y.cols()`), and test code are exempt. Hard
 error: the only escape is registering the file under `dense` in
-`[quadratic-alloc]` of xtask/scale-registry.toml.
+`[quadratic-alloc]` of xtask/hot-paths.toml.
 
 Rationale: the paper's O(qTD) per-iteration cost (Sec. V) holds only
 while every build path scales along nnz, not n² — an 800-node dev
@@ -259,7 +259,7 @@ et al.'s tensor factorization (PAPERS.md) both keep this invariant.",
     },
     RuleDoc {
         name: "registry-rot",
-        summary: "hard error on stale registry entries (hot-paths, scale)",
+        summary: "hard error on stale registry entries (xtask/hot-paths.toml)",
         detail: "\
 Validates every entry of xtask/hot-paths.toml against the live item
 tree: `[hot-loop-alloc]` file keys must exist and their function lists
@@ -267,10 +267,10 @@ must resolve via the item parser, `allocating-calls` must resolve
 somewhere in the workspace, `[float-determinism]` paths must exist,
 `[invariant-coverage]` / `[nondeterministic-order]` crates must exist,
 and `file::fn` allow entries must resolve to real items. The same
-checks cover xtask/scale-registry.toml: `[lossy-cast]` allow entries
-must resolve as `file::fn`, `pinned` crates must exist,
-`[overflow-arith]` file/function lists must resolve, and
-`[quadratic-alloc]` dense files must exist.
+checks cover the scale sections: `[lossy-cast]` allow entries must
+resolve as `file::fn`, `pinned` crates must exist, `[overflow-arith]`
+file/function lists must resolve, and `[quadratic-alloc]` dense files
+must exist.
 
 Rationale: the registries are the contract between the codebase and
 this gate — a renamed kernel whose registry entry silently stops

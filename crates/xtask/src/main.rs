@@ -32,14 +32,13 @@
 //!     kernel needs a `#[test]` naming it together with
 //!     `set_thread_cap`/`THREAD_CAP_ENV` — the cap-1-vs-cap-N bitwise
 //!     test shape.
-//! 11. **registry-rot** (hard error): every `hot-paths.toml` and
-//!     `scale-registry.toml` entry must resolve to a live
-//!     file/function/crate.
+//! 11. **registry-rot** (hard error): every `hot-paths.toml` entry must
+//!     resolve to a live file/function/crate.
 //! 12. **lossy-cast** (ratcheted): narrowing `as` casts and integer
 //!     casts of float bindings in library code — validate once at the
 //!     build boundary (`TensorError::IndexOverflow` /
 //!     `WalkError::IndexOverflow`); kernels consuming validated `u32`
-//!     indices are allowlisted in `xtask/scale-registry.toml`.
+//!     indices are allowlisted in `xtask/hot-paths.toml`.
 //! 13. **overflow-arith** (ratcheted): bare `+`/`*`/`+=`/`*=` on
 //!     offset/length/count bindings (`*_ptr`, `nnz`, `len`, …) inside
 //!     registered build-path functions — use `checked_add`/`checked_mul`
@@ -90,7 +89,6 @@ const CONSTRUCTION_ALLOWED: &[&str] = &[
 
 const BASELINE_PATH: &str = "xtask/lint-baseline.toml";
 const CONFIG_PATH: &str = "xtask/hot-paths.toml";
-const SCALE_REGISTRY_PATH: &str = "xtask/scale-registry.toml";
 
 const USAGE: &str = "usage: cargo xtask lint [--update-baseline [--allow-increase]] \
                      [--format text|json|github] | cargo xtask lint --explain <rule>";
@@ -347,9 +345,6 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
     let config_path = root.join(CONFIG_PATH);
     let config: RuleConfig =
         config::parse(&read(&config_path)?).map_err(|e| format!("{CONFIG_PATH}: {e}"))?;
-    let scale_registry_path = root.join(SCALE_REGISTRY_PATH);
-    let scale_registry = scale::parse(&read(&scale_registry_path)?)
-        .map_err(|e| format!("{SCALE_REGISTRY_PATH}: {e}"))?;
     let crates = load_crates(&root)?;
 
     let mut report = Report {
@@ -436,24 +431,30 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
     }
 
     // registry-rot: every hot-paths.toml entry must resolve to a live
-    // file/function/crate. Hard error, no allowlist — the registries the
-    // other rules key off can never silently go stale.
+    // file/function/crate. Hard error, no allowlist — the registry the
+    // other rules key off can never silently go stale, and a refactor
+    // cannot leave a stale allowance silently excusing new code.
     let find_src = |path: &str| {
         crates
             .iter()
             .flat_map(|k| &k.src)
             .find(|s| s.file.display == path)
     };
-    for (file_key, fn_names) in &config.hot_loop_alloc {
-        let tree = find_src(file_key).map(|s| s.file.tree.as_slice());
-        for rot in contract::rot_check_fns(file_key, fn_names, tree) {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                &rot.key,
-                0,
-                format!("[hot-loop-alloc] in {CONFIG_PATH}: {}", rot.message),
-            );
+    for (section, registered) in [
+        ("hot-loop-alloc", &config.hot_loop_alloc),
+        ("overflow-arith", &config.overflow_arith),
+    ] {
+        for (file_key, fn_names) in registered {
+            let tree = find_src(file_key).map(|s| s.file.tree.as_slice());
+            for rot in contract::rot_check_fns(file_key, fn_names, tree) {
+                report.push(
+                    "registry-rot",
+                    Severity::Error,
+                    &rot.key,
+                    0,
+                    format!("[{section}] in {CONFIG_PATH}: {}", rot.message),
+                );
+            }
         }
     }
     for name in &config.allocating_calls {
@@ -474,35 +475,43 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
             );
         }
     }
-    for path in &config.float_determinism_paths {
-        if find_src(path).is_none() {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                path,
-                0,
-                "[float-determinism] registered file does not exist — remove or \
-                 fix the entry"
-                    .to_owned(),
-            );
+    for (section, paths) in [
+        ("float-determinism", &config.float_determinism_paths),
+        ("quadratic-alloc", &config.quadratic_alloc_dense),
+    ] {
+        for path in paths {
+            if find_src(path).is_none() {
+                report.push(
+                    "registry-rot",
+                    Severity::Error,
+                    path,
+                    0,
+                    format!("[{section}] registered file does not exist — remove or fix the entry"),
+                );
+            }
         }
     }
-    for entry in &config.invariant_allow {
-        let split = entry.rsplit_once("::");
-        let resolved = split.is_some_and(|(file, fn_name)| {
-            find_src(file).is_some_and(|s| !items::find_fns(&s.file.tree, fn_name).is_empty())
-        });
-        if !resolved {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                CONFIG_PATH,
-                0,
-                format!(
-                    "[invariant-coverage] allow entry `{entry}` does not resolve \
-                     to a `file::fn` item — remove or fix the entry"
-                ),
-            );
+    for (section, entries) in [
+        ("invariant-coverage", &config.invariant_allow),
+        ("lossy-cast", &config.lossy_cast_allow),
+    ] {
+        for entry in entries {
+            let split = entry.rsplit_once("::");
+            let resolved = split.is_some_and(|(file, fn_name)| {
+                find_src(file).is_some_and(|s| !items::find_fns(&s.file.tree, fn_name).is_empty())
+            });
+            if !resolved {
+                report.push(
+                    "registry-rot",
+                    Severity::Error,
+                    CONFIG_PATH,
+                    0,
+                    format!(
+                        "[{section}] allow entry `{entry}` does not resolve \
+                         to a `file::fn` item — remove or fix the entry"
+                    ),
+                );
+            }
         }
     }
     for (section, keys) in [
@@ -511,6 +520,7 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
             "nondeterministic-order",
             &config.nondeterministic_order_crates,
         ),
+        ("lossy-cast", &config.lossy_cast_pinned),
     ] {
         for crate_key in keys {
             if !crates.iter().any(|k| &k.key == crate_key) {
@@ -536,67 +546,6 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
                 0,
                 "[unsafe-forbid] allowlisted crate does not exist — remove the \
                  entry"
-                    .to_owned(),
-            );
-        }
-    }
-
-    // registry-rot over the scale registry: the lossy-cast allowlist,
-    // pinned crates, registered overflow-arith functions, and dense files
-    // must all resolve, so a refactor cannot leave a stale allowance
-    // silently excusing new code.
-    for entry in &scale_registry.lossy_cast_allow {
-        let split = entry.rsplit_once("::");
-        let resolved = split.is_some_and(|(file, fn_name)| {
-            find_src(file).is_some_and(|s| !items::find_fns(&s.file.tree, fn_name).is_empty())
-        });
-        if !resolved {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                SCALE_REGISTRY_PATH,
-                0,
-                format!(
-                    "[lossy-cast] allow entry `{entry}` does not resolve to a \
-                     `file::fn` item — remove or fix the entry"
-                ),
-            );
-        }
-    }
-    for crate_key in &scale_registry.lossy_cast_pinned {
-        if !crates.iter().any(|k| &k.key == crate_key) {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                crate_key,
-                0,
-                "[lossy-cast] pinned crate does not exist — remove or fix the \
-                 entry"
-                    .to_owned(),
-            );
-        }
-    }
-    for (file_key, fn_names) in &scale_registry.overflow_arith {
-        let tree = find_src(file_key).map(|s| s.file.tree.as_slice());
-        for rot in contract::rot_check_fns(file_key, fn_names, tree) {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                &rot.key,
-                0,
-                format!("[overflow-arith] in {SCALE_REGISTRY_PATH}: {}", rot.message),
-            );
-        }
-    }
-    for path in &scale_registry.quadratic_alloc_dense {
-        if find_src(path).is_none() {
-            report.push(
-                "registry-rot",
-                Severity::Error,
-                path,
-                0,
-                "[quadratic-alloc] dense-registered file does not exist — remove \
-                 or fix the entry"
                     .to_owned(),
             );
         }
@@ -809,7 +758,7 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
                 &src.file.display,
                 &src.library_only,
                 &src.file.tree,
-                &scale_registry.lossy_cast_allow,
+                &config.lossy_cast_allow,
                 &src.file.lines,
             ) {
                 sites.push((src.file.display.clone(), f.line, f.message));
@@ -830,7 +779,7 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
             .join("/")
     };
     let mut overflow_found: RatchetFindings = RatchetFindings::new();
-    for (file_key, fn_names) in &scale_registry.overflow_arith {
+    for (file_key, fn_names) in &config.overflow_arith {
         let Some(src) = find_src(file_key) else {
             continue;
         };
@@ -855,10 +804,7 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
     // intentionally dense.
     for krate in &crates {
         for src in &krate.src {
-            if scale_registry
-                .quadratic_alloc_dense
-                .contains(&src.file.display)
-            {
+            if config.quadratic_alloc_dense.contains(&src.file.display) {
                 continue;
             }
             for f in scale::quadratic_alloc_sites(&src.library_only, &src.file.lines) {
@@ -919,14 +865,14 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
     }
     // Pinned ingestion/build crates always get an entry, so clean ones
     // carry an explicit `= 0` the ratchet holds them to.
-    for crate_key in &scale_registry.lossy_cast_pinned {
+    for crate_key in &config.lossy_cast_pinned {
         measured.lossy_cast.entry(crate_key.clone()).or_insert(0);
     }
     for (key, sites) in &overflow_found {
         measured.overflow_arith.insert(key.clone(), sites.len());
     }
     // Every crate with a registered build-path fn gets an entry too.
-    for file_key in scale_registry.overflow_arith.keys() {
+    for file_key in config.overflow_arith.keys() {
         measured
             .overflow_arith
             .entry(crate_of(file_key))

@@ -1,4 +1,5 @@
-//! Scale-safety rules (`xtask/scale-registry.toml`): lossy-cast,
+//! Scale-safety rules (the `[lossy-cast]`, `[overflow-arith]` and
+//! `[quadratic-alloc]` sections of `xtask/hot-paths.toml`): lossy-cast,
 //! overflow-arith, quadratic-alloc.
 //!
 //! ROADMAP item 1 (million-node HINs, 10^7+ nnz) fails in exactly the
@@ -13,7 +14,7 @@
 //!   build boundaries return `TensorError::IndexOverflow` /
 //!   `WalkError::IndexOverflow` instead; hot kernels that consume
 //!   already-validated `u32` indices stay raw via the `[lossy-cast]`
-//!   `allow` list of `xtask/scale-registry.toml`.
+//!   `allow` list of `xtask/hot-paths.toml`.
 //! - **overflow-arith** (ratcheted per crate): bare `+`/`*`/`+=` on
 //!   offset/length/nnz-named bindings inside the build-path functions
 //!   registered under `[overflow-arith]` — use `checked_add`/
@@ -23,109 +24,16 @@
 //!   the files registered as intentionally dense under
 //!   `[quadratic-alloc]`.
 //!
-//! Like `hot-paths.toml`, every registry entry is validated by the
-//! registry-rot rule so the allowlists cannot silently go stale.
+//! Every registry entry is validated by the registry-rot rule so the
+//! allowlists cannot silently go stale.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::items::{Item, ItemKind};
 use crate::lints::{
     ident_ending_at, idents, is_ident_continue, is_ident_start, next_nonspace, prev_nonspace,
     Finding, LineIndex,
 };
-
-/// Parsed contents of `xtask/scale-registry.toml`.
-#[derive(Debug, Default, Clone)]
-pub struct ScaleRegistry {
-    /// `file::fn` entries whose casts are provably width-safe (they
-    /// consume indices already validated at a build boundary).
-    pub lossy_cast_allow: BTreeSet<String>,
-    /// Crate directories whose lossy-cast count is pinned at an explicit
-    /// zero in the baseline (the ingestion/build crates).
-    pub lossy_cast_pinned: Vec<String>,
-    /// File → build-path functions whose offset arithmetic must be
-    /// checked or widened.
-    pub overflow_arith: BTreeMap<String, Vec<String>>,
-    /// Files allowed to materialize node×node buffers (the dense walk
-    /// backend and the dense matrix type itself).
-    pub quadratic_alloc_dense: Vec<String>,
-}
-
-/// Parses the scale registry document (same minimal TOML subset as
-/// `xtask/hot-paths.toml`: sections, `#` comments, quoted-string arrays
-/// that may span lines).
-///
-/// # Errors
-/// Returns a line-numbered description of the first malformed construct.
-pub fn parse(text: &str) -> Result<ScaleRegistry, String> {
-    let mut registry = ScaleRegistry::default();
-    let mut section = String::new();
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((lineno, raw)) = lines.next() {
-        let line = strip_comment(raw).trim().to_owned();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = name.trim().to_owned();
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("line {}: expected `key = value`", lineno + 1));
-        };
-        let key = key.trim().trim_matches('"').to_owned();
-        let mut value = value.trim().to_owned();
-        while value.starts_with('[') && !value.ends_with(']') {
-            let Some((_, next)) = lines.next() else {
-                return Err(format!("line {}: unterminated array", lineno + 1));
-            };
-            value.push(' ');
-            value.push_str(strip_comment(next).trim());
-        }
-        let value = parse_value(&value).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        match (section.as_str(), key.as_str()) {
-            ("lossy-cast", "allow") => registry.lossy_cast_allow = value.into_iter().collect(),
-            ("lossy-cast", "pinned") => registry.lossy_cast_pinned = value,
-            // Real file keys contain `/`, so no reserved-key clash.
-            ("overflow-arith", file) => {
-                registry.overflow_arith.insert(file.to_owned(), value);
-            }
-            ("quadratic-alloc", "dense") => registry.quadratic_alloc_dense = value,
-            (section, key) => {
-                return Err(format!(
-                    "line {}: unknown entry `{key}` in section [{section}]",
-                    lineno + 1
-                ));
-            }
-        }
-    }
-    Ok(registry)
-}
-
-fn strip_comment(line: &str) -> &str {
-    // None of the registry's strings contain `#`, so a plain split is safe.
-    line.split('#').next().unwrap_or("")
-}
-
-fn parse_value(value: &str) -> Result<Vec<String>, String> {
-    let inner = value
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| format!("expected an array of strings, found `{value}`"))?;
-    let mut out = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let s = part
-            .strip_prefix('"')
-            .and_then(|p| p.strip_suffix('"'))
-            .ok_or_else(|| format!("expected a quoted string, found `{part}`"))?;
-        out.push(s.to_owned());
-    }
-    Ok(out)
-}
 
 /// Cast targets that always narrow (or sign-flip) an index-width value.
 const NARROW_TARGETS: &[&[u8]] = &[b"u8", b"u16", b"u32", b"i8", b"i16", b"i32"];
@@ -350,7 +258,7 @@ pub fn lossy_cast_sites(
             format!(
                 "narrowing `as {target_name}` cast{} in library code — validate at the \
                  build boundary with `try_from` and a typed `IndexOverflow` error, or \
-                 allowlist the enclosing fn in [lossy-cast] of xtask/scale-registry.toml \
+                 allowlist the enclosing fn in [lossy-cast] of xtask/hot-paths.toml \
                  if its input is already width-validated",
                 root.as_deref()
                     .map(|r| format!(" of `{r}`"))
@@ -612,7 +520,7 @@ pub fn quadratic_alloc_sites(library_only: &str, lines: &LineIndex) -> Vec<Findi
                 message: format!(
                     "O(n²) allocation: `{lr} * {rr}` sizes a buffer by two node counts — \
                      build sparsely along nnz instead, or register the file as \
-                     intentionally dense in [quadratic-alloc] of xtask/scale-registry.toml"
+                     intentionally dense in [quadratic-alloc] of xtask/hot-paths.toml"
                 ),
             });
         }
@@ -654,7 +562,7 @@ pinned = ["crates/sparse-tensor", "crates/feature-walk"]
 [quadratic-alloc]
 dense = ["crates/feature-walk/src/dense.rs"]
 "#;
-        let reg = parse(text).unwrap();
+        let reg = crate::config::parse(text).unwrap();
         assert!(reg
             .lossy_cast_allow
             .contains("crates/feature-walk/src/knn.rs::sweep_intra"));
@@ -671,9 +579,9 @@ dense = ["crates/feature-walk/src/dense.rs"]
 
     #[test]
     fn registry_rejects_unknown_entries_with_line_numbers() {
-        let err = parse("[lossy-cast]\nwrong = []\n").unwrap_err();
+        let err = crate::config::parse("[lossy-cast]\nwrong = []\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-        let err = parse("[quadratic-alloc]\ndense = [bare]\n").unwrap_err();
+        let err = crate::config::parse("[quadratic-alloc]\ndense = [bare]\n").unwrap_err();
         assert!(err.contains("quoted"), "{err}");
     }
 

@@ -11,14 +11,14 @@ use tmark::{TMarkConfig, TMarkModel};
 use tmark_datasets::{dblp::dblp_with_size, stratified_split};
 use tmark_linalg::vector::{is_stochastic, l1_distance, uniform};
 use tmark_sparse_tensor::connectivity::is_irreducible;
-use tmark_sparse_tensor::{StochasticTensors, TensorBuilder};
+use tmark_sparse_tensor::{SparseTensor3, StochasticTensors};
 
 fn ring_tensor(n: usize, m: usize) -> StochasticTensors {
-    let mut b = TensorBuilder::new(n, m);
-    for v in 0..n {
-        b.add_undirected(v, (v + 1) % n, v % m);
-    }
-    StochasticTensors::from_tensor(&b.build().unwrap())
+    let links = (0..n).flat_map(|v| {
+        let (u, k) = ((v + 1) % n, v % m);
+        [(v, u, k, 1.0), (u, v, k, 1.0)]
+    });
+    StochasticTensors::from_tensor(&SparseTensor3::from_entries(n, m, links).unwrap())
 }
 
 #[test]
